@@ -31,6 +31,10 @@
 #                                # baseline, or a bench that never wrote
 #                                # its record; widen on noisy runners
 #                                # with EQX_BENCH_TOLERANCE)
+#   scripts/check.sh --perfbench # build perfbench from source and run
+#                                # its selftest (python3 perfbench/run.py
+#                                # --selftest): the traced cluster
+#                                # replay must equal Cluster::run
 #   scripts/check.sh --format    # only run the clang-format check
 #
 # The "resilience" ctest label is a subset of tier1, so the default run
@@ -135,13 +139,16 @@ case "${1:-}" in
   --bench-smoke)
     run_bench_smoke
     ;;
+  --perfbench)
+    python3 perfbench/run.py --selftest
+    ;;
   "")
     run_format_check
     run_preset default
     ;;
   *)
     echo "usage: scripts/check.sh" \
-         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--format]" >&2
+         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--perfbench|--format]" >&2
     exit 2
     ;;
 esac

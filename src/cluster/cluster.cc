@@ -306,7 +306,7 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
         rs.arrival_process = spec_.arrival_process;
         rs.burst_factor = spec_.burst_factor;
         rs.burst_period_s = spec_.burst_period_s;
-        rs.arrival_trace_ticks = routed.traces[r];
+        rs.arrival_trace_ticks = std::move(routed.traces[r]);
         rs.warmup_requests = ceilDiv(opts.warmup_requests, n);
         rs.warmup_s = opts.warmup_s;
         rs.measure_requests = ceilDiv(opts.measure_requests, n);

@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/min_heap.hh"
 #include "common/random.hh"
+#include "stats/sliding_window.hh"
 
 namespace equinox
 {
@@ -21,27 +22,6 @@ namespace
 // never perturbs the candidate ticks or the priority split.
 constexpr std::uint64_t kPriorityStream = 104729ull;
 constexpr std::uint64_t kJitterStream = 130363ull;
-
-/**
- * The interpolated order statistic LatencyTracker::percentile defines,
- * over the hedging layer's sliding estimate window.
- */
-double
-windowP99(const std::vector<double> &samples)
-{
-    if (samples.empty())
-        return 0.0;
-    std::vector<double> sorted(samples);
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.size() == 1)
-        return sorted.front();
-    double rank = 0.99 * static_cast<double>(sorted.size() - 1);
-    auto lo = static_cast<std::size_t>(rank);
-    double frac = rank - static_cast<double>(lo);
-    return (frac == 0.0 || lo + 1 >= sorted.size())
-               ? sorted[lo]
-               : sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-}
 
 /** One dispatch attempt in the global time-ordered event heap. */
 struct DispatchEvent
@@ -231,8 +211,9 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
     }
 
     double retry_tokens = spec_.retry.max_budget;
-    std::vector<double> hedge_window;
-    hedge_window.reserve(spec_.hedge.window + 1);
+    // Only read with hedging on, where validate() guarantees window >= 1.
+    stats::SlidingWindow hedge_window(
+        std::max<std::size_t>(spec_.hedge.window, 1));
 
     auto shedPriority = [this](bool background) {
         if (background)
@@ -323,7 +304,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
             if (budget_ok &&
                 hedge_window.size() >= spec_.hedge.min_samples &&
                 est > spec_.hedge.latency_factor *
-                          windowP99(hedge_window)) {
+                          hedge_window.percentile(0.99)) {
                 std::size_t alt = router_.pickAlternate(t, r);
                 if (alt != kNoReplica) {
                     router_.assignTo(alt, t);
@@ -340,9 +321,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                         ++stats_.hedge_wins;
                 }
             }
-            hedge_window.push_back(est);
-            if (hedge_window.size() > spec_.hedge.window)
-                hedge_window.erase(hedge_window.begin());
+            hedge_window.push(est);
         }
     }
 

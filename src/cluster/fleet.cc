@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "stats/histogram.hh"
 
 namespace equinox
 {
@@ -75,7 +74,8 @@ FleetSpec::validate() const
 
 FleetRouter::FleetRouter(const Config &cfg,
                          std::vector<RouterOutage> outages)
-    : cfg_(cfg), shards_(cfg.shards)
+    : cfg_(cfg), shards_(cfg.shards),
+      estimates_(cfg.autoscale ? cfg.estimate_window : 1)
 {
     const std::size_t n = cfg_.replicas;
     EQX_ASSERT(n >= 1, "fleet needs at least one replica");
@@ -271,11 +271,9 @@ FleetRouter::pick(Tick t)
     if (cfg_.autoscale) {
         // Feedback signal: the model latency the just-assigned request
         // is predicted to see, from the chosen replica's estimator.
-        estimates_.push_back(inner_[s]
-                                 .estimators()[local]
-                                 .lastAssignmentEstimateCycles());
-        if (estimates_.size() > cfg_.estimate_window)
-            estimates_.pop_front();
+        estimates_.push(inner_[s]
+                            .estimators()[local]
+                            .lastAssignmentEstimateCycles());
     }
     return base_[s] + local;
 }
@@ -327,9 +325,7 @@ FleetRouter::decide(Tick boundary)
     // actions in both directions.
     std::size_t desired = provisioned_;
     if (estimates_.size() >= cfg_.min_samples) {
-        scratch_.assign(estimates_.begin(), estimates_.end());
-        std::sort(scratch_.begin(), scratch_.end());
-        double p99 = stats::exactPercentileSorted(scratch_, 0.99);
+        double p99 = estimates_.percentile(0.99);
         if (p99 > cfg_.target_p99_cycles) {
             // Overload: proportional jump, never below the
             // feed-forward plan. The ratio is capped so a transient
@@ -428,10 +424,9 @@ FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
     res.traces.resize(cfg_.replicas);
     res.assigned.assign(cfg_.replicas, 0);
 
-    std::vector<Tick> ticks =
-        generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
-    res.generated = ticks.size();
-    for (Tick t : ticks) {
+    CandidateStream stream(rate_per_cycle, seed, max_ticks, surges);
+    for (Tick t = 0; stream.next(t);) {
+        ++res.generated;
         std::size_t g = pick(t);
         if (g != kNoReplica) {
             res.traces[g].push_back(t);

@@ -38,7 +38,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,6 +46,7 @@
 #include "cluster/routing_policy.hh"
 #include "common/types.hh"
 #include "fault/traffic_mix.hh"
+#include "stats/sliding_window.hh"
 
 namespace equinox
 {
@@ -251,8 +251,7 @@ class FleetRouter
     bool acted_ = false;
     Tick last_action_ = 0;
     std::uint64_t interval_candidates_ = 0;
-    std::deque<double> estimates_;
-    std::vector<double> scratch_;
+    stats::SlidingWindow estimates_;
     AutoscalerStats stats_;
 };
 

@@ -3,12 +3,70 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 
 namespace equinox
 {
 namespace cluster
 {
+
+CandidateStream::CandidateStream(double rate_per_cycle,
+                                 std::uint64_t seed, Tick max_ticks,
+                                 const std::vector<RouterSurge> &surges)
+    : max_ticks_(max_ticks), surges_(surges),
+      // Replay of RequestDispatcher's service-0 arrival recipe: same
+      // seeding, same draw, same Tick(wait) + 1 increment. Any change
+      // there must land here too or the 1-replica differential test
+      // breaks.
+      rng_(seed * 7919 + 1), done_(rate_per_cycle <= 0.0)
+{
+    for (const auto &s : surges_) {
+        EQX_ASSERT(s.factor >= 1.0, "surge factor must be >= 1");
+        peak_factor_ = std::max(peak_factor_, s.factor);
+    }
+    draw_rate_ = rate_per_cycle * peak_factor_;
+}
+
+double
+CandidateStream::factorAt(Tick t) const
+{
+    double factor = 1.0;
+    for (const auto &s : surges_) {
+        if (t >= s.from && t < s.to)
+            factor = std::max(factor, s.factor);
+    }
+    return factor;
+}
+
+bool
+CandidateStream::next(Tick &t)
+{
+    if (done_)
+        return false;
+    while (true) {
+        double wait = rng_.exponential(draw_rate_);
+        t_ += static_cast<Tick>(wait) + 1;
+        if (t_ > max_ticks_) {
+            // Include the first candidate beyond the horizon, always
+            // accepted: the replica event loop dispatches one event
+            // past max_ticks, so the trace must cover it for
+            // byte-identity with a stochastic run.
+            done_ = true;
+            t = t_;
+            return true;
+        }
+        // Flash-crowd path: candidates drawn at the peak rate are
+        // thinned against the instantaneous rate (Lewis-Shedler
+        // thinning). One seeded stream drives both the waits and the
+        // acceptance draws, keeping the whole stream a pure function
+        // of (rate, seed, surges). Without surges nothing is thinned
+        // and no acceptance draw is made.
+        if (surges_.empty() ||
+            rng_.uniform() * peak_factor_ < factorAt(t_)) {
+            t = t_;
+            return true;
+        }
+    }
+}
 
 std::vector<Tick>
 generateCandidateTicks(double rate_per_cycle, std::uint64_t seed,
@@ -16,62 +74,9 @@ generateCandidateTicks(double rate_per_cycle, std::uint64_t seed,
                        const std::vector<RouterSurge> &surges)
 {
     std::vector<Tick> ticks;
-    if (rate_per_cycle <= 0.0)
-        return ticks;
-
-    // Replay of RequestDispatcher's service-0 arrival recipe: same
-    // seeding, same draw, same Tick(wait) + 1 increment. Any change
-    // there must land here too or the 1-replica differential test
-    // breaks.
-    Rng rng(seed * 7919 + 1);
-    if (surges.empty()) {
-        Tick t = 0;
-        while (true) {
-            double wait = rng.exponential(rate_per_cycle);
-            t += static_cast<Tick>(wait) + 1;
-            ticks.push_back(t);
-            // Include the first candidate beyond the horizon: the
-            // replica event loop dispatches one event past max_ticks,
-            // so the trace must cover it for byte-identity with a
-            // stochastic run.
-            if (t > max_ticks)
-                break;
-        }
-        return ticks;
-    }
-
-    // Flash-crowd path: draw at the peak rate and thin each candidate
-    // against the instantaneous rate (Lewis-Shedler thinning), so the
-    // accepted stream runs `factor` times denser inside each surge
-    // window and at the base rate outside. One seeded stream drives
-    // both the waits and the acceptance draws, keeping the whole
-    // stream a pure function of (rate, seed, surges).
-    double peak_factor = 1.0;
-    for (const auto &s : surges) {
-        EQX_ASSERT(s.factor >= 1.0, "surge factor must be >= 1");
-        peak_factor = std::max(peak_factor, s.factor);
-    }
-    auto factor_at = [&surges](Tick t) {
-        double factor = 1.0;
-        for (const auto &s : surges) {
-            if (t >= s.from && t < s.to)
-                factor = std::max(factor, s.factor);
-        }
-        return factor;
-    };
-    Tick t = 0;
-    while (true) {
-        double wait = rng.exponential(rate_per_cycle * peak_factor);
-        t += static_cast<Tick>(wait) + 1;
-        if (t > max_ticks) {
-            // The one-past-the-horizon candidate is always accepted so
-            // every trace covers the final dispatched event.
-            ticks.push_back(t);
-            break;
-        }
-        if (rng.uniform() * peak_factor < factor_at(t))
-            ticks.push_back(t);
-    }
+    CandidateStream stream(rate_per_cycle, seed, max_ticks, surges);
+    for (Tick t = 0; stream.next(t);)
+        ticks.push_back(t);
     return ticks;
 }
 
@@ -209,8 +214,10 @@ Router::pick(Tick t)
         choice = pickMin(t, true);
         // Re-routed: the pick made ignoring health would have landed
         // on a dead or vetoed replica (the round-robin path counts
-        // its own skips).
-        if (choice != kNoReplica && !available(pickMin(t, false), t))
+        // its own skips). Without outages or a filter every replica
+        // is available, so the health-blind scan is skipped.
+        if (choice != kNoReplica && (!outages_.empty() || filter_) &&
+            !available(pickMin(t, false), t))
             ++rerouted_;
     }
     if (choice == kNoReplica) {
@@ -229,10 +236,9 @@ Router::route(double rate_per_cycle, std::uint64_t seed, Tick max_ticks,
     res.traces.resize(replicas_);
     res.assigned.assign(replicas_, 0);
 
-    std::vector<Tick> ticks =
-        generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
-    res.generated = ticks.size();
-    for (Tick t : ticks) {
+    CandidateStream stream(rate_per_cycle, seed, max_ticks, surges);
+    for (Tick t = 0; stream.next(t);) {
+        ++res.generated;
         std::size_t r = pick(t);
         if (r != kNoReplica) {
             res.traces[r].push_back(t);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cluster/routing_policy.hh"
+#include "common/random.hh"
 #include "common/types.hh"
 
 namespace equinox
@@ -51,15 +52,49 @@ struct RouterSurge
 };
 
 /**
- * Draw the global candidate tick stream for one run. With no surge
- * windows this replays RequestDispatcher's service-0 arrival recipe
- * exactly -- Rng(seed * 7919 + 1), exponential draws at
- * @p rate_per_cycle, `Tick(wait) + 1` increments, one candidate past
- * @p max_ticks -- so trace-fed replicas stay byte-identical to their
- * stochastic twins. With surge windows the stream is drawn at the peak
- * rate (base x max factor) and thinned against the instantaneous rate,
- * so candidates inside a window arrive factor-times denser; this path
- * only runs under chaos, where no golden digest applies.
+ * The global candidate tick stream of one run, drawn one candidate at a
+ * time. With no surge windows this replays RequestDispatcher's
+ * service-0 arrival recipe exactly -- Rng(seed * 7919 + 1), exponential
+ * draws at @p rate_per_cycle, `Tick(wait) + 1` increments, one
+ * candidate past @p max_ticks -- so trace-fed replicas stay
+ * byte-identical to their stochastic twins. With surge windows the
+ * stream is drawn at the peak rate (base x max factor) and thinned
+ * against the instantaneous rate, so candidates inside a window arrive
+ * factor-times denser; this path only runs under chaos, where no
+ * golden digest applies.
+ *
+ * Pulling candidates lets a router pick as they are drawn instead of
+ * holding the whole horizon's ticks at once.
+ */
+class CandidateStream
+{
+  public:
+    CandidateStream(double rate_per_cycle, std::uint64_t seed,
+                    Tick max_ticks,
+                    const std::vector<RouterSurge> &surges = {});
+
+    /**
+     * Store the next candidate tick in @p t; false once the stream has
+     * yielded its one-past-the-horizon candidate (at once when the
+     * rate is <= 0).
+     */
+    bool next(Tick &t);
+
+  private:
+    double factorAt(Tick t) const;
+
+    double draw_rate_ = 0.0;
+    Tick max_ticks_;
+    std::vector<RouterSurge> surges_;
+    double peak_factor_ = 1.0;
+    Rng rng_;
+    Tick t_ = 0;
+    bool done_;
+};
+
+/**
+ * Every tick of a CandidateStream with the same arguments, in order.
+ * A rate <= 0 yields no ticks.
  */
 std::vector<Tick> generateCandidateTicks(
     double rate_per_cycle, std::uint64_t seed, Tick max_ticks,

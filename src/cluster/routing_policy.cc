@@ -1,9 +1,6 @@
 #include "cluster/routing_policy.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "stats/histogram.hh"
 
 namespace equinox
 {
@@ -33,11 +30,10 @@ allRoutingPolicies()
 
 ReplicaEstimator::ReplicaEstimator(double service_rate_per_cycle,
                                    std::size_t window)
-    : rate_per_cycle_(service_rate_per_cycle), window_(window)
+    : rate_per_cycle_(service_rate_per_cycle), recent_(window)
 {
     EQX_ASSERT(service_rate_per_cycle > 0.0,
                "estimator needs a positive service rate");
-    EQX_ASSERT(window > 0, "estimator needs a nonzero window");
 }
 
 void
@@ -62,30 +58,15 @@ void
 ReplicaEstimator::assign(Tick now)
 {
     drainTo(now);
-    recent_.push_back(estimatedLatencyCycles());
-    if (recent_.size() > window_)
-        recent_.pop_front();
+    recent_.push(estimatedLatencyCycles());
     backlog_ += 1.0;
     ++assigned_;
-    refreshWindowP99();
-}
-
-void
-ReplicaEstimator::refreshWindowP99()
-{
     // The window only changes on assignment, so the p99 is refreshed
-    // here once and read for free by every later routing decision.
-    // This runs once per routed request -- a long-horizon stream is
-    // millions of refreshes -- so it reuses a scratch buffer instead
-    // of building a LatencyTracker, but the interpolation itself is
-    // stats::exactPercentileSorted, the one percentile kernel: it
-    // carries the exact-rank guard that keeps +inf samples from
-    // surfacing as 0 * inf = NaN, and sharing it makes windowP99()
-    // bit-identical to LatencyTracker::percentile by construction
+    // here once and read for free by every later routing decision. The
+    // window stays sorted, so this is one exactPercentileSorted call --
+    // bit-identical to LatencyTracker::percentile over the same samples
     // (the policy contract windowP99() documents).
-    scratch_.assign(recent_.begin(), recent_.end());
-    std::sort(scratch_.begin(), scratch_.end());
-    window_p99_ = stats::exactPercentileSorted(scratch_, 0.99);
+    window_p99_ = recent_.percentile(0.99);
 }
 
 } // namespace cluster

@@ -17,10 +17,10 @@
 #define EQUINOX_CLUSTER_ROUTING_POLICY_HH
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "common/types.hh"
+#include "stats/sliding_window.hh"
 
 namespace equinox
 {
@@ -95,15 +95,11 @@ class ReplicaEstimator
     }
 
   private:
-    void refreshWindowP99();
-
     double rate_per_cycle_;
-    std::size_t window_;
     double backlog_ = 0.0;
     Tick last_ = 0;
     std::uint64_t assigned_ = 0;
-    std::deque<double> recent_;
-    std::vector<double> scratch_; //!< reused per-assignment sort buffer
+    stats::SlidingWindow recent_;
     double window_p99_ = 0.0;
 };
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * Unit tests for src/stats: percentile tracking, histograms, cycle
- * breakdowns and table formatting.
+ * Unit tests for src/stats: percentile tracking, sliding windows,
+ * histograms, cycle breakdowns and table formatting, plus the cluster
+ * candidate stream whose ticks feed the router's windows.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -579,6 +581,177 @@ TEST(FaultStatsMerge, SingleSampleRecoveryTrackerSurvivesMergeChain)
     EXPECT_EQ(e1.downtime_cycles, 0u);
     EXPECT_EQ(e1.recovery_cycles.count(), 0u);
     EXPECT_EQ(e1.recovery_cycles.mean(), 0.0);
+}
+
+} // namespace
+} // namespace stats
+} // namespace equinox
+
+// Appended: the sorted sliding window every router-side p99 reads, and
+// the pull-based candidate stream the routers draw from.
+
+#include <algorithm>
+#include <deque>
+
+#include "cluster/router.hh"
+#include "stats/sliding_window.hh"
+
+namespace equinox
+{
+namespace stats
+{
+namespace
+{
+
+/** The copy-and-sort the window replaces: sort the last w samples. */
+double
+referencePercentile(const std::deque<double> &recent, double p)
+{
+    std::vector<double> sorted(recent.begin(), recent.end());
+    std::sort(sorted.begin(), sorted.end());
+    return exactPercentileSorted(sorted, p);
+}
+
+TEST(SlidingWindow, MatchesCopyAndSortBitwise)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (std::size_t w : {1u, 2u, 64u, 256u}) {
+        for (int mode = 0; mode < 3; ++mode) {
+            Rng rng(1000 + w * 3 + static_cast<std::size_t>(mode));
+            SlidingWindow window(w);
+            std::deque<double> recent;
+            for (int i = 0; i < 3000; ++i) {
+                double x;
+                if (mode == 0)
+                    x = rng.exponential(0.01); // distinct values
+                else if (mode == 1)
+                    x = static_cast<double>(rng.uniformInt(0, 4));
+                else // heavy duplicates plus +inf samples
+                    x = rng.uniform() < 0.2
+                            ? inf
+                            : static_cast<double>(rng.uniformInt(1, 3));
+                window.push(x);
+                recent.push_back(x);
+                if (recent.size() > w)
+                    recent.pop_front();
+
+                ASSERT_EQ(window.size(), recent.size());
+                ASSERT_EQ(window.back(), recent.back());
+                for (double p : {0.0, 0.5, 0.99, 1.0}) {
+                    double got = window.percentile(p);
+                    double want = referencePercentile(recent, p);
+                    // Bitwise: memcmp-equal, which also equates +inf.
+                    ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                        << "w " << w << " mode " << mode << " push " << i
+                        << " p " << p << ": " << got << " vs " << want;
+                }
+            }
+        }
+    }
+}
+
+TEST(SlidingWindow, EvictsOldestFirst)
+{
+    SlidingWindow window(3);
+    EXPECT_TRUE(window.empty());
+    for (double x : {5.0, 1.0, 3.0, 2.0}) // 5 leaves on the 4th push
+        window.push(x);
+    EXPECT_EQ(window.size(), 3u);
+    EXPECT_EQ(window.back(), 2.0);
+    EXPECT_EQ(window.percentile(0.0), 1.0);
+    EXPECT_EQ(window.percentile(1.0), 3.0);
+    EXPECT_EQ(window.percentile(0.5), 2.0);
+}
+
+TEST(SlidingWindowDeath, ZeroLengthIsFatal)
+{
+    EXPECT_DEATH(SlidingWindow(0), "nonzero length");
+}
+
+/**
+ * The candidate recipe written out longhand: exponential waits at the
+ * peak rate, `Tick(wait) + 1` increments, Lewis-Shedler thinning only
+ * when surge windows exist, and the one-past-the-horizon candidate
+ * always kept.
+ */
+std::vector<Tick>
+referenceCandidates(double rate, std::uint64_t seed, Tick horizon,
+                    const std::vector<cluster::RouterSurge> &surges)
+{
+    std::vector<Tick> ticks;
+    if (rate <= 0.0)
+        return ticks;
+    double peak = 1.0;
+    for (const auto &s : surges)
+        peak = std::max(peak, s.factor);
+    Rng rng(seed * 7919 + 1);
+    Tick t = 0;
+    while (true) {
+        t += static_cast<Tick>(rng.exponential(rate * peak)) + 1;
+        if (t > horizon) {
+            ticks.push_back(t);
+            return ticks;
+        }
+        if (surges.empty()) {
+            ticks.push_back(t);
+            continue;
+        }
+        double factor = 1.0;
+        for (const auto &s : surges) {
+            if (t >= s.from && t < s.to)
+                factor = std::max(factor, s.factor);
+        }
+        if (rng.uniform() * peak < factor)
+            ticks.push_back(t);
+    }
+}
+
+std::vector<Tick>
+drain(cluster::CandidateStream stream)
+{
+    std::vector<Tick> ticks;
+    for (Tick t = 0; stream.next(t);)
+        ticks.push_back(t);
+    Tick t = 0;
+    EXPECT_FALSE(stream.next(t)) << "an exhausted stream stays exhausted";
+    return ticks;
+}
+
+TEST(CandidateStream, EqualsGenerateCandidateTicks)
+{
+    const Tick horizon = 400000;
+    const std::vector<cluster::RouterSurge> none;
+    const std::vector<cluster::RouterSurge> surges{
+        {50000, 120000, 3.0}, {100000, 200000, 1.5}, {300000, 310000, 6.0}};
+
+    struct Case
+    {
+        double rate;
+        const std::vector<cluster::RouterSurge> *surges;
+    };
+    for (const Case &c : {Case{0.0, &none}, Case{-1.0, &surges},
+                          Case{2e-3, &none}, Case{2e-3, &surges}}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            auto streamed =
+                drain(cluster::CandidateStream(c.rate, seed, horizon,
+                                               *c.surges));
+            auto vec = cluster::generateCandidateTicks(c.rate, seed,
+                                                       horizon, *c.surges);
+            EXPECT_EQ(streamed, vec) << "rate " << c.rate;
+            EXPECT_EQ(streamed, referenceCandidates(c.rate, seed, horizon,
+                                                    *c.surges))
+                << "rate " << c.rate;
+            if (c.rate <= 0.0) {
+                EXPECT_TRUE(streamed.empty());
+                continue;
+            }
+            // Exactly one candidate lies past the horizon, and it ends
+            // the stream.
+            ASSERT_FALSE(streamed.empty());
+            EXPECT_GT(streamed.back(), horizon);
+            EXPECT_LE(streamed[streamed.size() - 2], horizon);
+        }
+    }
 }
 
 } // namespace
