@@ -33,20 +33,55 @@ randomMatrix(std::size_t r, std::size_t c, std::uint64_t seed)
     return m;
 }
 
+/** Time C = A x B for an MxK by KxN product; reports MACs per second. */
 void
-BM_GemmEngine(benchmark::State &state, arith::Encoding enc)
+timeGemm(benchmark::State &state, arith::Encoding enc, std::size_t m,
+         std::size_t k, std::size_t n)
 {
-    auto n = static_cast<std::size_t>(state.range(0));
-    auto a = randomMatrix(n, n, 1);
-    auto b = randomMatrix(n, n, 2);
-    arith::Matrix c(n, n);
+    auto a = randomMatrix(m, k, 1);
+    auto b = randomMatrix(k, n, 2);
+    arith::Matrix c(m, n);
     auto engine = arith::makeGemmEngine(enc);
     for (auto _ : state) {
         engine->multiply(a, b, c, false);
         benchmark::DoNotOptimize(c.data());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
-                            * n * n * n * 2);
+    state.counters["MACs"] = benchmark::Counter(
+        static_cast<double>(m * k * n),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+
+/** Square n x n x n product. */
+void
+BM_GemmEngine(benchmark::State &state, arith::Encoding enc)
+{
+    auto n = static_cast<std::size_t>(state.range(0));
+    timeGemm(state, enc, n, n, n);
+}
+
+/** The M x K x N products the Figure 2(a) training loop issues. */
+void
+BM_GemmShape(benchmark::State &state, arith::Encoding enc)
+{
+    timeGemm(state, enc, static_cast<std::size_t>(state.range(0)),
+             static_cast<std::size_t>(state.range(1)),
+             static_cast<std::size_t>(state.range(2)));
+}
+
+/**
+ * Figure 2(a) at batch 64 with hidden layers {96, 48} over 24 features:
+ * the two hidden-layer forwards, a weight gradient, an input gradient,
+ * and the 1024-sample validation forward.
+ */
+void
+trainingShapes(benchmark::internal::Benchmark *b)
+{
+    b->ArgNames({"m", "k", "n"});
+    b->Args({64, 24, 96});
+    b->Args({64, 96, 48});
+    b->Args({96, 64, 48});
+    b->Args({64, 48, 96});
+    b->Args({1024, 24, 96});
 }
 
 void
@@ -190,6 +225,12 @@ BENCHMARK_CAPTURE(BM_GemmEngine, bfloat16, arith::Encoding::Bfloat16)
     ->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_GemmEngine, hbfp8, arith::Encoding::Hbfp8)
     ->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_GemmShape, fp32, arith::Encoding::Fp32)
+    ->Apply(trainingShapes);
+BENCHMARK_CAPTURE(BM_GemmShape, bfloat16, arith::Encoding::Bfloat16)
+    ->Apply(trainingShapes);
+BENCHMARK_CAPTURE(BM_GemmShape, hbfp8, arith::Encoding::Hbfp8)
+    ->Apply(trainingShapes);
 BENCHMARK(BM_BfpQuantize)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_BfpDot)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_EventQueue)->Arg(1024)->Arg(65536);

@@ -11,7 +11,8 @@
 #   scripts/check.sh --coverage  # build+test the coverage preset, then
 #                                # print per-directory line coverage and
 #                                # fail if src/obs/, src/cluster/,
-#                                # src/fault/, or src/mem/ is below 90%
+#                                # src/fault/, src/mem/, or src/arith/
+#                                # is below 90%
 #   scripts/check.sh --resilience # only the overload-resilience
 #                                # control-plane + chaos suites
 #   scripts/check.sh --fleet     # only the fleet-tier suites
@@ -124,7 +125,8 @@ case "${1:-}" in
     run_format_check
     run_preset coverage
     echo "check.sh: per-directory line coverage" \
-         "(gates: src/obs, src/cluster, src/fault, src/mem >= 90%)"
+         "(gates: src/obs, src/cluster, src/fault, src/mem, src/arith" \
+         ">= 90%)"
     python3 scripts/coverage_report.py build-coverage
     ;;
   --resilience)

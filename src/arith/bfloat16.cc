@@ -1,36 +1,9 @@
 #include "arith/bfloat16.hh"
 
-#include <bit>
-#include <cmath>
-
 namespace equinox
 {
 namespace arith
 {
-
-std::uint16_t
-Bfloat16::roundFromFloat(float v)
-{
-    std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
-
-    if (std::isnan(v)) {
-        // Quiet NaN, preserving the sign.
-        return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);
-    }
-
-    // Round to nearest even on the 16 discarded bits.
-    std::uint32_t lsb = (bits >> 16) & 1u;
-    std::uint32_t rounding_bias = 0x7FFFu + lsb;
-    bits += rounding_bias;
-    return static_cast<std::uint16_t>(bits >> 16);
-}
-
-float
-Bfloat16::toFloat() const
-{
-    std::uint32_t wide = static_cast<std::uint32_t>(bits_) << 16;
-    return std::bit_cast<float>(wide);
-}
 
 Bfloat16
 Bfloat16::fromBits(std::uint16_t b)
@@ -68,12 +41,6 @@ Bfloat16
 Bfloat16::operator-() const
 {
     return Bfloat16(-toFloat());
-}
-
-float
-roundToBf16(float v)
-{
-    return Bfloat16(v).toFloat();
 }
 
 } // namespace arith

@@ -8,6 +8,8 @@
 #ifndef EQUINOX_ARITH_BFLOAT16_HH
 #define EQUINOX_ARITH_BFLOAT16_HH
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace equinox
@@ -54,8 +56,38 @@ class Bfloat16
     std::uint16_t bits_ = 0;
 };
 
+// Inline: the GEMM engines round every partial sum through these.
+
+inline std::uint16_t
+Bfloat16::roundFromFloat(float v)
+{
+    std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+
+    if (std::isnan(v)) {
+        // Quiet NaN, preserving the sign.
+        return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);
+    }
+
+    // Round to nearest even on the 16 discarded bits.
+    std::uint32_t lsb = (bits >> 16) & 1u;
+    std::uint32_t rounding_bias = 0x7FFFu + lsb;
+    bits += rounding_bias;
+    return static_cast<std::uint16_t>(bits >> 16);
+}
+
+inline float
+Bfloat16::toFloat() const
+{
+    std::uint32_t wide = static_cast<std::uint32_t>(bits_) << 16;
+    return std::bit_cast<float>(wide);
+}
+
 /** Convenience: round a float through bfloat16 precision and widen back. */
-float roundToBf16(float v);
+inline float
+roundToBf16(float v)
+{
+    return Bfloat16(v).toFloat();
+}
 
 } // namespace arith
 } // namespace equinox

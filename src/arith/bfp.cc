@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
-#include "arith/fixed_point.hh"
 #include "common/logging.hh"
 
 namespace equinox
@@ -17,50 +17,119 @@ hbfp8Format()
     return BfpFormat{8, 12, 25};
 }
 
-BfpBlock
-BfpBlock::quantize(std::span<const float> values, const BfpFormat &fmt)
+std::int32_t
+bfpQuantizeStrip(const float *in, std::size_t stride, std::size_t len,
+                 const BfpFormat &fmt, std::int16_t *out)
 {
     EQX_ASSERT(fmt.mantissa_bits >= 2 && fmt.mantissa_bits <= 15,
                "unsupported mantissa width ", fmt.mantissa_bits);
 
-    BfpBlock blk;
-    blk.fmt_ = fmt;
-    blk.mantissas.resize(values.size());
-
+    // std::max keeps the running maximum when handed a NaN, so NaNs never
+    // pick the exponent.
     float max_abs = 0.0f;
-    for (float v : values)
-        max_abs = std::max(max_abs, std::abs(v));
+    for (std::size_t i = 0; i < len; ++i)
+        max_abs = std::max(max_abs, std::abs(in[i * stride]));
 
     if (max_abs == 0.0f) {
-        blk.exponent_ = fmt.exponentMin();
-        std::fill(blk.mantissas.begin(), blk.mantissas.end(),
-                  std::int16_t{0});
-        return blk;
+        for (std::size_t i = 0; i < len; ++i)
+            out[i * stride] = 0;
+        return fmt.exponentMin();
     }
 
     // Shared exponent: smallest e with max_abs < 2^e, so that all scaled
     // mantissas land in (-1, 1). Rounding can still push the largest
     // mantissa to 2^(mbits-1); bump the exponent once in that case so the
-    // round-to-nearest half-step error bound holds for every element.
-    int e = static_cast<int>(std::floor(std::log2(max_abs))) + 1;
-    std::int32_t mmax = fmt.mantissaMax();
-    double ratio = static_cast<double>(max_abs) * std::ldexp(1.0, -e);
-    if (std::nearbyint(ratio * std::ldexp(1.0, fmt.mantissa_bits - 1)) >
-        mmax) {
-        ++e;
+    // round-to-nearest half-step error bound holds for every element. An
+    // infinite maximum saturates the exponent instead.
+    const double mmax = fmt.mantissaMax();
+    int e = fmt.exponentMax();
+    if (std::isfinite(max_abs)) {
+        e = static_cast<int>(std::floor(std::log2(max_abs))) + 1;
+        double ratio = static_cast<double>(max_abs) * std::ldexp(1.0, -e);
+        if (std::nearbyint(ratio * std::ldexp(1.0, fmt.mantissa_bits - 1)) >
+            mmax) {
+            ++e;
+        }
+        e = std::clamp<int>(e, fmt.exponentMin(), fmt.exponentMax());
     }
-    e = std::clamp<int>(e, fmt.exponentMin(), fmt.exponentMax());
-    blk.exponent_ = e;
 
-    double scale = std::ldexp(1.0, -(e - static_cast<int>(
-        fmt.mantissa_bits - 1)));
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        auto q = static_cast<std::int64_t>(
-            std::nearbyint(static_cast<double>(values[i]) * scale));
-        q = std::clamp<std::int64_t>(q, -static_cast<std::int64_t>(mmax),
-                                     static_cast<std::int64_t>(mmax));
-        blk.mantissas[i] = static_cast<std::int16_t>(q);
+    // Adding and subtracting 1.5 * 2^52 rounds any |x| < 2^51 to an
+    // integer, ties to even, exactly as std::nearbyint does in the default
+    // rounding mode; a larger |x| stays larger than mmax either way. So the
+    // clamp below equals clamping nearbyint(x), and it keeps the integer
+    // cast in range.
+    constexpr double kRoundHalfEven = 0x1.8p52;
+    const double scale =
+        std::ldexp(1.0, -(e - static_cast<int>(fmt.mantissa_bits - 1)));
+    for (std::size_t i = 0; i < len; ++i) {
+        const float v = in[i * stride];
+        double x = static_cast<double>(v) * scale;
+        if (!std::isfinite(x)) {
+            // v is inf or NaN (an inf times a saturated, zero scale is NaN).
+            x = std::isnan(v) ? 0.0 : std::copysign(mmax, v);
+        }
+        const double q = (x + kRoundHalfEven) - kRoundHalfEven;
+        out[i * stride] = static_cast<std::int16_t>(std::clamp(q, -mmax, mmax));
     }
+    return e;
+}
+
+void
+bfpDotTile(const std::int16_t *a, const std::int16_t *b, std::size_t ldb,
+           std::size_t len, std::size_t cols, const BfpFormat &fmt,
+           std::int64_t *acc)
+{
+    EQX_ASSERT(cols <= kBfpDotTile, "BFP dot tile too wide: ", cols);
+
+    const std::int64_t acc_max =
+        (std::int64_t{1} << (fmt.accumulator_bits - 1)) - 1;
+    const std::int64_t acc_min = -acc_max - 1;
+    const std::int64_t mmax = fmt.mantissaMax();
+    const std::int64_t limit = std::min<std::int64_t>(
+        acc_max, std::numeric_limits<std::int32_t>::max());
+
+    // len <= limit < 2^31 first, so len * mmax^2 < 2^59 cannot overflow.
+    const auto slen = static_cast<std::int64_t>(len);
+    if (len <= static_cast<std::size_t>(limit) &&
+        slen * mmax * mmax <= limit) {
+        // Every prefix sum is at most len * mmax^2 <= limit in magnitude:
+        // the register never clips and int32 never overflows.
+        std::int32_t sum[kBfpDotTile] = {};
+        if (cols == kBfpDotTile) {
+            for (std::size_t p = 0; p < len; ++p) {
+                const std::int32_t av = a[p];
+                const std::int16_t *bp = b + p * ldb;
+                for (std::size_t c = 0; c < kBfpDotTile; ++c)
+                    sum[c] += av * bp[c];
+            }
+        } else {
+            for (std::size_t c = 0; c < cols; ++c)
+                for (std::size_t p = 0; p < len; ++p)
+                    sum[c] += a[p] * b[p * ldb + c];
+        }
+        std::copy(sum, sum + cols, acc);
+        return;
+    }
+
+    // The register can clip: saturate after every product, in order.
+    for (std::size_t c = 0; c < cols; ++c) {
+        std::int64_t s = 0;
+        for (std::size_t p = 0; p < len; ++p) {
+            s += static_cast<std::int64_t>(a[p]) * b[p * ldb + c];
+            s = std::clamp(s, acc_min, acc_max);
+        }
+        acc[c] = s;
+    }
+}
+
+BfpBlock
+BfpBlock::quantize(std::span<const float> values, const BfpFormat &fmt)
+{
+    BfpBlock blk;
+    blk.fmt_ = fmt;
+    blk.mantissas.resize(values.size());
+    blk.exponent_ = bfpQuantizeStrip(values.data(), 1, values.size(), fmt,
+                                     blk.mantissas.data());
     return blk;
 }
 
@@ -91,23 +160,11 @@ BfpBlock::dot(const BfpBlock &a, const BfpBlock &b)
     EQX_ASSERT(a.fmt_.mantissa_bits == b.fmt_.mantissa_bits,
                "BFP dot format mismatch");
 
-    // The hardware accumulates int products into a narrow saturating
-    // register. We model the canonical 25-bit case with the generic
-    // template instantiated at the configured width.
-    const unsigned acc_bits = a.fmt_.accumulator_bits;
+    // One column of the GEMM kernel: b's mantissas at stride 1.
     std::int64_t acc = 0;
-    const std::int64_t acc_max = (std::int64_t{1} << (acc_bits - 1)) - 1;
-    const std::int64_t acc_min = -(std::int64_t{1} << (acc_bits - 1));
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        acc += static_cast<std::int64_t>(a.mantissas[i]) *
-               static_cast<std::int64_t>(b.mantissas[i]);
-        acc = std::clamp(acc, acc_min, acc_max);
-    }
-
-    int frac_bits = 2 * static_cast<int>(a.fmt_.mantissa_bits - 1);
-    double v = std::ldexp(static_cast<double>(acc),
-                          a.exponent_ + b.exponent_ - frac_bits);
-    return static_cast<float>(v);
+    bfpDotTile(a.mantissas.data(), b.mantissas.data(), 1, a.size(), 1,
+               a.fmt_, &acc);
+    return bfpDotValue(acc, a.exponent_, b.exponent_, a.fmt_);
 }
 
 double

@@ -11,6 +11,9 @@
 #ifndef EQUINOX_ARITH_BFP_HH
 #define EQUINOX_ARITH_BFP_HH
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,6 +54,62 @@ struct BfpFormat
 
 /** The canonical Equinox encoding: hbfp8. */
 BfpFormat hbfp8Format();
+
+/**
+ * Quantize one strip of @p len values into a block under @p fmt: reads
+ * in[i * stride] and writes its mantissa to out[i * stride], so a GEMM
+ * operand quantizes in place into a same-layout int16 panel (a row strip
+ * with stride 1, a column strip with stride = row length).
+ *
+ * Non-finite inputs are defined: a non-finite block maximum saturates the
+ * exponent to fmt.exponentMax(), +-inf maps to +-mantissaMax() and NaN to
+ * 0. A block of zeros (or only NaNs) takes fmt.exponentMin().
+ *
+ * @return the strip's shared exponent
+ */
+std::int32_t bfpQuantizeStrip(const float *in, std::size_t stride,
+                              std::size_t len, const BfpFormat &fmt,
+                              std::int16_t *out);
+
+/** Output columns one bfpDotTile call produces at most. */
+inline constexpr std::size_t kBfpDotTile = 8;
+
+/**
+ * Integer dot products of one mantissa strip @p a (contiguous, @p len
+ * long) against @p cols <= kBfpDotTile mantissa columns of @p b (element
+ * p of column c at b[p * ldb + c]), accumulated the way the systolic array
+ * does: each product added in order into a saturating register of
+ * fmt.accumulator_bits. Writes the register values to acc[0 .. cols).
+ *
+ * When len * mantissaMax()^2 fits the register (and int32), no prefix
+ * sum can clip, so the kernel accumulates in int32 without clamping;
+ * otherwise it clamps after every step.
+ */
+void bfpDotTile(const std::int16_t *a, const std::int16_t *b,
+                std::size_t ldb, std::size_t len, std::size_t cols,
+                const BfpFormat &fmt, std::int64_t *acc);
+
+/**
+ * Decode a bfpDotTile register value of two blocks with shared exponents
+ * @p exp_a and @p exp_b to binary32: acc * 2^(exp_a + exp_b - 2 *
+ * (mantissa_bits - 1)), rounded once to float.
+ */
+inline float
+bfpDotValue(std::int64_t acc, std::int32_t exp_a, std::int32_t exp_b,
+            const BfpFormat &fmt)
+{
+    const int shift =
+        exp_a + exp_b - 2 * static_cast<int>(fmt.mantissa_bits - 1);
+    const double v = static_cast<double>(acc);
+    // |v| < 2^63, so for these shifts v * 2^shift is a normal double:
+    // the product is exact and equals std::ldexp, without the call.
+    if (shift >= -1022 && shift <= 1023 - 63) {
+        const auto pow2 = std::bit_cast<double>(
+            static_cast<std::uint64_t>(shift + 1023) << 52);
+        return static_cast<float>(v * pow2);
+    }
+    return static_cast<float>(std::ldexp(v, shift));
+}
 
 /**
  * One block: narrow mantissas sharing one exponent.

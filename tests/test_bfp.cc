@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "arith/bfp.hh"
@@ -155,6 +156,55 @@ TEST(BfpBlock, AccumulatorSaturates)
     double clip = std::ldexp(static_cast<double>((1 << 24) - 1),
                              blk.exponent() * 2 - 14);
     EXPECT_FLOAT_EQ(dot, static_cast<float>(clip));
+}
+
+TEST(BfpBlock, NonFiniteMaximumSaturatesExponent)
+{
+    // A diverging run reaches the quantizer with inf/NaN; the result is
+    // defined (and clean under UBSan): the exponent saturates, +-inf take
+    // the largest mantissa magnitude and NaN becomes 0.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    BfpFormat fmt = hbfp8Format();
+    std::vector<float> v{1.0f, inf, -inf, nan, -2.5f};
+    auto blk = BfpBlock::quantize(v, fmt);
+    EXPECT_EQ(blk.exponent(), fmt.exponentMax());
+    EXPECT_EQ(blk.mantissa(1), fmt.mantissaMax());
+    EXPECT_EQ(blk.mantissa(2), -fmt.mantissaMax());
+    EXPECT_EQ(blk.mantissa(3), 0);
+    for (std::size_t i : {0u, 4u}) {
+        EXPECT_LE(std::abs(blk.mantissa(i)), fmt.mantissaMax());
+    }
+}
+
+TEST(BfpBlock, NanNeverPicksTheExponent)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    BfpFormat fmt = hbfp8Format();
+    auto blk = BfpBlock::quantize(std::vector<float>{nan, 1.0f, -nan}, fmt);
+    EXPECT_EQ(blk.exponent(), 1);
+    EXPECT_EQ(blk.mantissa(0), 0);
+    EXPECT_EQ(blk.dequantize(1), 1.0f);
+    EXPECT_EQ(blk.mantissa(2), 0);
+
+    // Only NaNs: a zero block.
+    auto all_nan = BfpBlock::quantize(std::vector<float>(5, nan), fmt);
+    EXPECT_EQ(all_nan.exponent(), fmt.exponentMin());
+    for (std::size_t i = 0; i < all_nan.size(); ++i)
+        EXPECT_EQ(all_nan.mantissa(i), 0);
+}
+
+TEST(BfpBlock, OutOfRangeValuesClampUnderNarrowExponent)
+{
+    // A 4-bit exponent tops out at 2^7, so 1e30 cannot be represented and
+    // must clamp to the largest mantissa instead of overflowing a cast.
+    BfpFormat fmt{8, 4, 25};
+    auto blk = BfpBlock::quantize(std::vector<float>{1e30f, -1e30f, 0.0f},
+                                  fmt);
+    EXPECT_EQ(blk.exponent(), fmt.exponentMax());
+    EXPECT_EQ(blk.mantissa(0), fmt.mantissaMax());
+    EXPECT_EQ(blk.mantissa(1), -fmt.mantissaMax());
+    EXPECT_EQ(blk.mantissa(2), 0);
 }
 
 TEST(BfpBlock, NarrowerMantissaHasLargerError)

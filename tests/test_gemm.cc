@@ -5,8 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <ostream>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "arith/bfloat16.hh"
 #include "arith/gemm.hh"
@@ -212,6 +221,393 @@ TEST(GemmEngine, FactoryCoversAllEncodings)
         auto engine = makeGemmEngine(enc);
         ASSERT_NE(engine, nullptr);
         EXPECT_EQ(engine->encoding(), enc);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bitwise differential suite. The engines are register-tiled kernels over
+// pre-quantized panels; these are frozen copies of the naive per-element
+// loops (and per-block BFP quantize/dot) they replaced. Every output
+// element must match the reference bit for bit.
+
+namespace naive
+{
+
+struct Block
+{
+    std::int32_t exponent = 0;
+    std::vector<std::int16_t> mantissas;
+};
+
+Block
+quantize(std::span<const float> values, const BfpFormat &fmt)
+{
+    Block blk;
+    blk.mantissas.resize(values.size());
+    float max_abs = 0.0f;
+    for (float v : values)
+        max_abs = std::max(max_abs, std::abs(v));
+    if (max_abs == 0.0f) {
+        blk.exponent = fmt.exponentMin();
+        return blk;
+    }
+    int e = static_cast<int>(std::floor(std::log2(max_abs))) + 1;
+    std::int32_t mmax = fmt.mantissaMax();
+    double ratio = static_cast<double>(max_abs) * std::ldexp(1.0, -e);
+    if (std::nearbyint(ratio * std::ldexp(1.0, fmt.mantissa_bits - 1)) >
+        mmax) {
+        ++e;
+    }
+    e = std::clamp<int>(e, fmt.exponentMin(), fmt.exponentMax());
+    blk.exponent = e;
+    double scale = std::ldexp(1.0, -(e - static_cast<int>(
+        fmt.mantissa_bits - 1)));
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        auto q = static_cast<std::int64_t>(
+            std::nearbyint(static_cast<double>(values[i]) * scale));
+        q = std::clamp<std::int64_t>(q, -static_cast<std::int64_t>(mmax),
+                                     static_cast<std::int64_t>(mmax));
+        blk.mantissas[i] = static_cast<std::int16_t>(q);
+    }
+    return blk;
+}
+
+float
+dot(const Block &a, const Block &b, const BfpFormat &fmt)
+{
+    std::int64_t acc = 0;
+    const std::int64_t acc_max =
+        (std::int64_t{1} << (fmt.accumulator_bits - 1)) - 1;
+    const std::int64_t acc_min =
+        -(std::int64_t{1} << (fmt.accumulator_bits - 1));
+    for (std::size_t i = 0; i < a.mantissas.size(); ++i) {
+        acc += static_cast<std::int64_t>(a.mantissas[i]) *
+               static_cast<std::int64_t>(b.mantissas[i]);
+        acc = std::clamp(acc, acc_min, acc_max);
+    }
+    int frac_bits = 2 * static_cast<int>(fmt.mantissa_bits - 1);
+    return static_cast<float>(std::ldexp(static_cast<double>(acc),
+                                         a.exponent + b.exponent -
+                                             frac_bits));
+}
+
+void
+fp32(const Matrix &a, const Matrix &b, Matrix &c, bool accumulate)
+{
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            double acc = accumulate ? c.at(i, j) : 0.0;
+            for (std::size_t p = 0; p < a.cols(); ++p) {
+                acc += static_cast<double>(a.at(i, p)) *
+                       static_cast<double>(b.at(p, j));
+            }
+            c.at(i, j) = static_cast<float>(acc);
+        }
+    }
+}
+
+void
+bf16(const Matrix &a, const Matrix &b, Matrix &c, bool accumulate)
+{
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            float acc = accumulate ? c.at(i, j) : 0.0f;
+            for (std::size_t p = 0; p < a.cols(); ++p)
+                acc += roundToBf16(a.at(i, p)) * roundToBf16(b.at(p, j));
+            c.at(i, j) = roundToBf16(acc);
+        }
+    }
+}
+
+void
+hbfp(const Matrix &a, const Matrix &b, Matrix &c, bool accumulate,
+     const BfpFormat &fmt, std::size_t block_len)
+{
+    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+    const std::size_t nblocks = (k + block_len - 1) / block_len;
+    Matrix bt = b.transposed();
+    std::vector<Block> a_blocks(m * nblocks), b_blocks(n * nblocks);
+    for (std::size_t blk = 0; blk < nblocks; ++blk) {
+        std::size_t lo = blk * block_len;
+        std::size_t len = std::min(block_len, k - lo);
+        for (std::size_t i = 0; i < m; ++i)
+            a_blocks[i * nblocks + blk] =
+                quantize({a.rowPtr(i) + lo, len}, fmt);
+        for (std::size_t j = 0; j < n; ++j)
+            b_blocks[j * nblocks + blk] =
+                quantize({bt.rowPtr(j) + lo, len}, fmt);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = accumulate ? c.at(i, j) : 0.0f;
+            for (std::size_t blk = 0; blk < nblocks; ++blk) {
+                float partial = dot(a_blocks[i * nblocks + blk],
+                                    b_blocks[j * nblocks + blk], fmt);
+                acc = roundToBf16(acc + roundToBf16(partial));
+            }
+            c.at(i, j) = acc;
+        }
+    }
+}
+
+} // namespace naive
+
+void
+expectBitEqual(const Matrix &want, const Matrix &got, const std::string &ctx)
+{
+    ASSERT_EQ(want.size(), got.size()) << ctx;
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        if (std::bit_cast<std::uint32_t>(want.data()[i]) !=
+            std::bit_cast<std::uint32_t>(got.data()[i])) {
+            if (++mismatches <= 3) {
+                ADD_FAILURE() << ctx << " element " << i << ": want "
+                              << want.data()[i] << " got " << got.data()[i];
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << ctx;
+}
+
+/**
+ * An operand with mixed magnitudes: a per-row scale spanning 1e-3..1e3,
+ * occasional outliers, and some all-zero rows and row segments so whole
+ * BFP strips hit the zero-block (exponentMin) path.
+ */
+Matrix
+fuzzOperand(std::size_t r, std::size_t c, Rng &rng)
+{
+    Matrix m(r, c);
+    for (std::size_t i = 0; i < r; ++i) {
+        double sd = std::pow(10.0, rng.uniform(-3.0, 3.0));
+        const auto shape = rng.uniformInt(0, 9);
+        for (std::size_t j = 0; j < c; ++j) {
+            float v = static_cast<float>(rng.normal(0.0, sd));
+            if (shape == 0 || (shape == 1 && j < c / 2))
+                v = 0.0f;
+            else if (rng.uniformInt(0, 63) == 0)
+                v *= 256.0f;
+            m.at(i, j) = v;
+        }
+    }
+    return m;
+}
+
+struct DiffCase
+{
+    std::size_t m, k, n;
+    bool accumulate;
+};
+
+std::string
+describe(const char *engine, const DiffCase &dc)
+{
+    return std::string(engine) + " " + std::to_string(dc.m) + "x" +
+           std::to_string(dc.k) + "x" + std::to_string(dc.n) +
+           (dc.accumulate ? " acc" : "");
+}
+
+/** Random shapes: m and n straddle the 8-column tile, k spans blocks. */
+std::vector<DiffCase>
+fuzzCases(Rng &rng, std::size_t block_len, int count)
+{
+    std::vector<DiffCase> cases;
+    for (int t = 0; t < count; ++t) {
+        DiffCase dc;
+        dc.m = 1 + rng.uniformInt(0, 18);
+        dc.n = 1 + rng.uniformInt(0, 26);
+        // Several whole blocks (more when they are short) plus a ragged
+        // tail, which may be empty; k stays below ~700.
+        const std::size_t whole =
+            rng.uniformInt(0, std::max<std::size_t>(3, 40 / block_len));
+        const std::size_t tail = rng.uniformInt(0, block_len - 1);
+        dc.k = std::max<std::size_t>(1, whole * block_len + tail);
+        dc.k = std::min<std::size_t>(dc.k, 700);
+        dc.accumulate = (t % 2) == 1;
+        cases.push_back(dc);
+    }
+    return cases;
+}
+
+TEST(GemmDifferential, Fp32AndBf16MatchNaiveLoopsBitwise)
+{
+    Rng rng(2024);
+    Fp32Gemm fp32;
+    Bf16Gemm bf16;
+    auto cases = fuzzCases(rng, 64, 40);
+    cases.push_back({8, 1, 8, false});
+    cases.push_back({16, 300, 24, true});
+    cases.push_back({3, 5, 7, true});
+    for (const auto &dc : cases) {
+        Matrix a = fuzzOperand(dc.m, dc.k, rng);
+        Matrix b = fuzzOperand(dc.k, dc.n, rng);
+        Matrix c0 = fuzzOperand(dc.m, dc.n, rng);
+
+        Matrix want = c0, got = c0;
+        naive::fp32(a, b, want, dc.accumulate);
+        fp32.multiply(a, b, got, dc.accumulate);
+        expectBitEqual(want, got, describe("fp32", dc));
+
+        want = c0;
+        got = c0;
+        naive::bf16(a, b, want, dc.accumulate);
+        bf16.multiply(a, b, got, dc.accumulate);
+        expectBitEqual(want, got, describe("bfloat16", dc));
+    }
+}
+
+struct HbfpDiffParam
+{
+    BfpFormat fmt;
+    std::size_t block_len;
+    const char *name;
+};
+
+void
+PrintTo(const HbfpDiffParam &param, std::ostream *os)
+{
+    *os << param.name;
+}
+
+class HbfpDifferential : public ::testing::TestWithParam<HbfpDiffParam>
+{
+};
+
+TEST_P(HbfpDifferential, MatchesNaiveBlockLoopBitwise)
+{
+    const auto &param = GetParam();
+    HbfpGemm engine(param.fmt, param.block_len);
+    Rng rng(7000 + param.block_len + param.fmt.accumulator_bits);
+    auto cases = fuzzCases(rng, param.block_len, 24);
+    cases.push_back({8, param.block_len, 16, false});
+    cases.push_back({9, param.block_len + 1, 17, true});
+    for (const auto &dc : cases) {
+        Matrix a = fuzzOperand(dc.m, dc.k, rng);
+        Matrix b = fuzzOperand(dc.k, dc.n, rng);
+        Matrix c0 = fuzzOperand(dc.m, dc.n, rng);
+        Matrix want = c0, got = c0;
+        naive::hbfp(a, b, want, dc.accumulate, param.fmt, param.block_len);
+        engine.multiply(a, b, got, dc.accumulate);
+        expectBitEqual(want, got, describe(param.name, dc));
+    }
+}
+
+// {8, 12, 12}: a single 127 x 127 product already overflows a 12-bit
+// register; hbfp10 at 256 can reach 256 * 511^2 > 2^24. Both force the
+// per-step clamped path; the rest take the unclamped int32 kernel.
+INSTANTIATE_TEST_SUITE_P(
+    Formats, HbfpDifferential,
+    ::testing::Values(HbfpDiffParam{hbfp8Format(), 1, "hbfp8_b1"},
+                      HbfpDiffParam{hbfp8Format(), 7, "hbfp8_b7"},
+                      HbfpDiffParam{hbfp8Format(), 64, "hbfp8_b64"},
+                      HbfpDiffParam{hbfp8Format(), 256, "hbfp8_b256"},
+                      HbfpDiffParam{hbfp8Format(), 300, "hbfp8_b300"},
+                      HbfpDiffParam{BfpFormat{4, 12, 25}, 64, "hbfp4_b64"},
+                      HbfpDiffParam{BfpFormat{8, 12, 12}, 64,
+                                    "narrow_acc_b64"},
+                      HbfpDiffParam{BfpFormat{10, 12, 25}, 256,
+                                    "hbfp10_b256"},
+                      HbfpDiffParam{BfpFormat{8, 5, 25}, 7,
+                                    "narrow_exp_b7"}),
+    [](const ::testing::TestParamInfo<HbfpDiffParam> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(BfpKernels, SaturatingRegisterMatchesNaive)
+{
+    // Same-sign maximal mantissas: the 12-bit register clips on the first
+    // step and hbfp8's 25-bit register clips past ~1040 products.
+    for (auto [fmt, len] : {std::pair{BfpFormat{8, 12, 12}, std::size_t{64}},
+                            std::pair{hbfp8Format(), std::size_t{2048}}}) {
+        Matrix a(3, len, 0.99f), b(len, 9, 0.99f);
+        b.at(0, 4) = -0.99f;
+        HbfpGemm engine(fmt, len);
+        Matrix want(3, 9), got(3, 9);
+        naive::hbfp(a, b, want, false, fmt, len);
+        engine.multiply(a, b, got, false);
+        expectBitEqual(want, got, "saturating " + std::to_string(len));
+    }
+}
+
+TEST(BfpKernels, BlockWrappersEqualStripKernels)
+{
+    Rng rng(31);
+    for (const BfpFormat &fmt :
+         {hbfp8Format(), BfpFormat{8, 12, 12}, BfpFormat{10, 12, 25}}) {
+        for (std::size_t len : {0u, 1u, 7u, 64u, 300u}) {
+            // x is column 0 of a len x 3 matrix, so the strip kernel reads
+            // (and writes) it at stride 3; y is column 2.
+            Matrix cols = fuzzOperand(len, 3, rng);
+            std::vector<float> x(len), y(len);
+            for (std::size_t p = 0; p < len; ++p) {
+                x[p] = cols.at(p, 0);
+                y[p] = cols.at(p, 2);
+            }
+            auto bx = BfpBlock::quantize(x, fmt);
+            auto by = BfpBlock::quantize(y, fmt);
+            auto nx = naive::quantize(x, fmt);
+            auto ny = naive::quantize(y, fmt);
+
+            std::vector<std::int16_t> panel(len * 3, 99);
+            std::int32_t ex = len ? bfpQuantizeStrip(cols.data(), 3, len,
+                                                     fmt, panel.data())
+                                  : fmt.exponentMin();
+            EXPECT_EQ(bx.exponent(), nx.exponent);
+            EXPECT_EQ(bx.exponent(), ex);
+            for (std::size_t p = 0; p < len; ++p) {
+                EXPECT_EQ(bx.mantissa(p), nx.mantissas[p]);
+                EXPECT_EQ(bx.mantissa(p), panel[p * 3]);
+                // Stride leaves the other columns untouched.
+                EXPECT_EQ(panel[p * 3 + 1], 99);
+            }
+
+            std::int64_t acc = 0;
+            bfpDotTile(nx.mantissas.data(), ny.mantissas.data(), 1, len, 1,
+                       fmt, &acc);
+            const float want = naive::dot(nx, ny, fmt);
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(BfpBlock::dot(bx, by)),
+                      std::bit_cast<std::uint32_t>(want));
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                          bfpDotValue(acc, nx.exponent, ny.exponent, fmt)),
+                      std::bit_cast<std::uint32_t>(want));
+        }
+    }
+}
+
+TEST(HbfpGemm, RejectsUnsupportedMantissaWidth)
+{
+    // int16 panels hold at most 15-bit mantissas.
+    Matrix a(2, 4, 1.0f), b(4, 2, 1.0f), c(2, 2);
+    HbfpGemm wide(BfpFormat{16, 12, 40}, 4);
+    EXPECT_DEATH(wide.multiply(a, b, c, false), "unsupported mantissa");
+    HbfpGemm narrow(BfpFormat{1, 12, 25}, 4);
+    EXPECT_DEATH(narrow.multiply(a, b, c, false), "unsupported mantissa");
+}
+
+TEST(HbfpGemm, NonFiniteOperandsStayConfinedToTheirRow)
+{
+    // A diverging run can feed inf/NaN into the GEMM. Quantization is
+    // defined for them (see test_bfp), and a non-finite row of A must not
+    // disturb the rows computed from finite strips.
+    Rng rng(211);
+    Matrix a = randomMatrix(4, 40, rng);
+    Matrix b = randomMatrix(40, 11, rng);
+    Matrix clean = a;
+    a.at(1, 3) = std::numeric_limits<float>::infinity();
+    a.at(2, 5) = std::numeric_limits<float>::quiet_NaN();
+    a.at(2, 6) = -std::numeric_limits<float>::infinity();
+    for (std::size_t j = 0; j < 40; ++j) {
+        clean.at(1, j) = 0.0f;
+        clean.at(2, j) = 0.0f;
+    }
+    HbfpGemm engine(hbfp8Format(), 16);
+    Matrix got(4, 11), want(4, 11);
+    engine.multiply(a, b, got, false);
+    engine.multiply(clean, b, want, false);
+    for (std::size_t i : {0u, 3u}) {
+        for (std::size_t j = 0; j < 11; ++j)
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got.at(i, j)),
+                      std::bit_cast<std::uint32_t>(want.at(i, j)));
     }
 }
 
