@@ -146,13 +146,6 @@ parseBenchArgs(int argc, char **argv)
     return args;
 }
 
-/** Back-compat shim: just the `--jobs` part of parseBenchArgs. */
-inline std::size_t
-parseJobs(int argc, char **argv)
-{
-    return parseBenchArgs(argc, argv).jobs;
-}
-
 /**
  * Perf harness every bench binary runs under: prints the artefact
  * banner, parses `--jobs` / `--trace` / `--metrics`, and on finish()

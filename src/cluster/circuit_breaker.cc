@@ -84,7 +84,7 @@ CircuitBreaker::observe(Tick t, bool healthy)
     if (!cfg_.enabled)
         return;
     // Rate-limit: a burst of same-window arrivals is one probe.
-    if (probed_ && t < last_probe_ + cfg_.probe_interval_cycles)
+    if (!probeDue(t))
         return;
     probed_ = true;
     last_probe_ = t;

@@ -77,6 +77,13 @@ class CircuitBreaker
      */
     void observe(Tick t, bool healthy);
 
+    /** Whether observe() at @p t would be accepted as a probe. */
+    bool
+    probeDue(Tick t) const
+    {
+        return !probed_ || t >= last_probe_ + cfg_.probe_interval_cycles;
+    }
+
     /**
      * Whether routing may use the replica at @p t. Advances
      * Open -> HalfOpen once the cooldown has elapsed, so callers see

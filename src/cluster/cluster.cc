@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 
+#include "cluster/fleet.hh"
 #include "cluster/router.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -71,10 +71,6 @@ ClusterSpec::validate() const
         fleet.autoscaler.min_replicas > replicas)
         errors.push_back(
             "fleet: autoscaler min_replicas exceeds the fleet size");
-    if (fleet.routesHierarchically() && resilience.enabled())
-        errors.push_back(
-            "fleet: sharding/autoscaling cannot compose with the "
-            "resilience control plane yet (pick one)");
     for (const auto &o : chaos.scheduled_outages) {
         if (o.replica != fault::kEveryReplica && o.replica >= replicas)
             errors.push_back("chaos scheduled outage names replica " +
@@ -174,67 +170,75 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
         }
     }
 
-    // Route the global candidate stream. `load` is the offered
-    // fraction of the AGGREGATE capacity, so the stream runs at
-    // per-replica rate x N; bursty mode draws candidates at the peak
-    // rate and the replicas thin them at arrival, mirroring the
-    // single-accelerator generator. An enabled resilience spec swaps
-    // the bare Router for the ControlPlane (admission, retries,
-    // hedging, breakers); disabled specs never construct one, so the
-    // legacy path is bit-for-bit untouched.
+    // Route the global candidate stream through the one pipeline:
+    // the optional ControlPlane stage (admission, retries, hedging,
+    // breakers) over one FleetRouter -- max(shards, 1) shards, so a
+    // flat spec is the one-shard case, plus the autoscaler when
+    // enabled. `load` is the offered fraction of the AGGREGATE
+    // capacity, so the stream runs at per-replica rate x N; bursty
+    // mode draws candidates at the peak rate and the replicas thin
+    // them at arrival, mirroring the single-accelerator generator. All
+    // knobs convert to the cycle domain here; the router never sees
+    // seconds.
     double rate_cycle =
         per_replica_rate * static_cast<double>(n) / f;
     if (spec_.arrival_process == sim::ArrivalProcess::Bursty)
         rate_cycle *= spec_.burst_factor;
+    FleetRouter::Config fc;
+    fc.replica_policy = spec_.policy;
+    fc.shard_policy = spec_.fleet.shard_policy;
+    fc.replicas = n;
+    fc.shards = std::max<std::size_t>(spec_.fleet.shards, 1);
+    fc.service_rate_per_cycle = mu_req / f;
+    fc.latency_window = spec_.latency_window;
+    const AutoscalerSpec &as = spec_.fleet.autoscaler;
+    if (as.enabled) {
+        fc.autoscale = true;
+        fc.min_active = as.min_replicas;
+        fc.max_active = as.max_replicas;
+        fc.initial_active = as.initial_replicas;
+        fc.target_p99_cycles = as.target_p99_s * f;
+        fc.low_watermark = as.low_watermark;
+        fc.target_utilization = as.target_utilization;
+        fc.decision_interval = std::max<Tick>(
+            units::secondsToCycles(as.decision_interval_s, f), 1);
+        fc.cooldown = units::secondsToCycles(as.cooldown_s, f);
+        fc.warmup = units::secondsToCycles(as.warmup_s, f);
+        fc.estimate_window = as.estimate_window;
+        fc.min_samples = as.min_samples;
+    }
+    // The router outlives routing: the training coordinator and the
+    // per-shard/autoscaler reporting below query it.
+    FleetRouter router(fc, outages);
     const bool cp_on = spec_.resilience.enabled();
-    const bool fleet_on = spec_.fleet.routesHierarchically();
     RouterResult routed;
     ResilienceStats rstats;
     double overload_frac = 0.0;
-    // The FleetRouter outlives routing: the training coordinator and
-    // the per-shard/autoscaler reporting below query it.
-    std::optional<FleetRouter> fleet_router;
     if (cp_on) {
-        ControlPlane cp(spec_.resilience, spec_.policy, n, mu_req / f,
-                        spec_.latency_window, outages);
+        ControlPlane cp(spec_.resilience, router);
         routed = cp.route(rate_cycle, opts.seed, max_ticks, surges);
         rstats = cp.stats();
         overload_frac = cp.overloadFraction();
-    } else if (fleet_on) {
-        // Hierarchical path: shard-level policy over per-shard flat
-        // routers, optionally with the SLO autoscaler. All knobs
-        // convert to the cycle domain here; the router never sees
-        // seconds.
-        FleetRouter::Config fc;
-        fc.replica_policy = spec_.policy;
-        fc.shard_policy = spec_.fleet.shard_policy;
-        fc.replicas = n;
-        fc.shards = std::max<std::size_t>(spec_.fleet.shards, 1);
-        fc.service_rate_per_cycle = mu_req / f;
-        fc.latency_window = spec_.latency_window;
-        const AutoscalerSpec &as = spec_.fleet.autoscaler;
-        if (as.enabled) {
-            fc.autoscale = true;
-            fc.min_active = as.min_replicas;
-            fc.max_active = as.max_replicas;
-            fc.initial_active = as.initial_replicas;
-            fc.target_p99_cycles = as.target_p99_s * f;
-            fc.low_watermark = as.low_watermark;
-            fc.target_utilization = as.target_utilization;
-            fc.decision_interval = std::max<Tick>(
-                units::secondsToCycles(as.decision_interval_s, f), 1);
-            fc.cooldown = units::secondsToCycles(as.cooldown_s, f);
-            fc.warmup = units::secondsToCycles(as.warmup_s, f);
-            fc.estimate_window = as.estimate_window;
-            fc.min_samples = as.min_samples;
-        }
-        fleet_router.emplace(fc, outages);
-        routed = fleet_router->route(rate_cycle, opts.seed, max_ticks,
-                                     surges);
     } else {
-        Router router(spec_.policy, n, mu_req / f, spec_.latency_window,
-                      outages);
         routed = router.route(rate_cycle, opts.seed, max_ticks, surges);
+    }
+    // Router-side conservation: every candidate reached a replica or
+    // was shed; behind the control plane, replica assignments are the
+    // dispatches plus their hedge duplicates.
+    const std::uint64_t assigned_total = std::accumulate(
+        routed.assigned.begin(), routed.assigned.end(), std::uint64_t{0});
+    if (cp_on) {
+        EQX_ASSERT(routed.generated == rstats.dispatched + routed.shed,
+                   "generated ", routed.generated, " != dispatched ",
+                   rstats.dispatched, " + shed ", routed.shed);
+        EQX_ASSERT(assigned_total ==
+                       rstats.dispatched + rstats.hedges_issued,
+                   "assigned ", assigned_total, " != dispatched ",
+                   rstats.dispatched, " + hedges ", rstats.hedges_issued);
+    } else {
+        EQX_ASSERT(routed.generated == assigned_total + routed.shed,
+                   "generated ", routed.generated, " != assigned ",
+                   assigned_total, " + shed ", routed.shed);
     }
 
     // Training coordinator: place the piggybacked training service on
@@ -259,15 +263,14 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
         }
         std::vector<std::size_t> order(n);
         std::iota(order.begin(), order.end(), std::size_t{0});
-        if (fleet_router && spec_.fleet.autoscaler.enabled) {
+        if (as.enabled) {
             // Replicas the autoscaler never powered run no traffic;
             // placing training there would model training on machines
             // that do not exist. Restrict the coordinator to the
             // ever-provisioned set.
             order.erase(std::remove_if(order.begin(), order.end(),
                                        [&](std::size_t r) {
-                                           return !fleet_router
-                                                       ->everActive(r);
+                                           return !router.everActive(r);
                                        }),
                         order.end());
             k = std::min(k, order.size());
@@ -422,20 +425,22 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
                 static_cast<double>(good) / o.sim.sim_seconds;
         }
     }
-    // Fleet tier reporting: per-shard slices merge their replicas in
-    // index order -- the same order the fleet-level merge above walked,
-    // so shard-tracker merging reproduces the fleet percentiles
-    // bitwise -- plus the autoscaler's decision accounting.
-    if (fleet_router) {
-        res.shards = fleet_router->shardCount();
+    // Fleet tier reporting, for specs that configure the tier (a flat
+    // spec's one shard reports nothing, so flat digests stay as they
+    // were): per-shard slices merge their replicas in index order --
+    // the same order the fleet-level merge above walked, so
+    // shard-tracker merging reproduces the fleet percentiles bitwise
+    // -- plus the autoscaler's decision accounting.
+    if (spec_.fleet.routesHierarchically()) {
+        res.shards = router.shardCount();
         res.shard_policy = spec_.fleet.shard_policy;
-        res.shard_rerouted = fleet_router->shardRerouted();
+        res.shard_rerouted = router.shardRerouted();
         res.per_shard.resize(res.shards);
         for (std::size_t s = 0; s < res.shards; ++s) {
             ShardOutcome &sh = res.per_shard[s];
             sh.shard = s;
-            sh.first_replica = fleet_router->shardBase(s);
-            sh.replicas = fleet_router->shardSize(s);
+            sh.first_replica = router.shardBase(s);
+            sh.replicas = router.shardSize(s);
             for (std::size_t r = sh.first_replica;
                  r < sh.first_replica + sh.replicas; ++r) {
                 sh.assigned_candidates += out[r].assigned_candidates;
@@ -447,9 +452,9 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
                 sh.p99_latency_s =
                     sh.merged_latency_cycles.percentile(0.99) * inv_f;
         }
-        res.autoscaled = spec_.fleet.autoscaler.enabled;
+        res.autoscaled = as.enabled;
         if (res.autoscaled)
-            res.autoscaler = fleet_router->autoscalerStats();
+            res.autoscaler = router.autoscalerStats();
     }
     res.per_replica = std::move(out);
     return res;

@@ -1,10 +1,13 @@
 /**
  * @file
- * Cluster: N independent Accelerator replicas behind a Router.
+ * Cluster: N independent Accelerator replicas behind one routing
+ * pipeline.
  *
  * Models the fleet deployment the paper's single-chip evaluation stops
  * short of: a front-end splits one global Poisson/bursty arrival
- * stream across replicas by routing policy, each replica simulates
+ * stream across replicas -- candidate stream, then the optional
+ * resilience ControlPlane stage, then a FleetRouter whose one-shard
+ * case is the flat Router -- each replica simulates
  * independently (own SimContext, seed, and fault plan -- so replicas
  * can fan out one-per-worker), and the results merge deterministically
  * in replica order with exact percentile merging over the concatenated
@@ -76,8 +79,9 @@ struct ClusterSpec
     std::vector<fault::FaultPlan> replica_faults;
     /**
      * Overload-resilience control plane (admission, retries, hedging,
-     * breakers). Default-constructed = disabled: the run never builds
-     * a ControlPlane and routes exactly as before.
+     * breakers), a stage in front of the FleetRouter.
+     * Default-constructed = disabled: the run never builds a
+     * ControlPlane and the router takes the candidate stream directly.
      */
     ResilienceSpec resilience;
     /**
@@ -88,10 +92,11 @@ struct ClusterSpec
     fault::ChaosPlan chaos;
     /**
      * Fleet-scale serving: hierarchical sharded routing, SLO-aware
-     * autoscaling, and traffic mixes. Default-constructed = off: the
-     * run routes through the flat Router exactly as before. Sharding
-     * and autoscaling cannot yet compose with the resilience control
-     * plane (validate() rejects the combination).
+     * autoscaling, and traffic mixes. Every run routes through one
+     * FleetRouter; default-constructed = one shard, no autoscaler, no
+     * mix -- the flat fleet, byte-identical to a flat Router. Sharding
+     * and autoscaling compose with the resilience control plane, which
+     * runs as a stage in front of the same router.
      */
     FleetSpec fleet;
 
@@ -197,13 +202,14 @@ struct ClusterPointResult
     double goodput_rps = 0.0;
 
     // -- fleet tier (hierarchical routing + autoscaler) ---------------
-    /** Shard count of the hierarchical router; 0 = flat path. */
+    /** Shard count of the FleetRouter; 0 = a flat spec (one shard,
+     *  fleet fields left unfilled). */
     std::size_t shards = 0;
     RoutingPolicy shard_policy = RoutingPolicy::JoinShortestQueue;
     /** Candidates whose first-choice SHARD was skipped (also counted
      *  inside the `rerouted` total). */
     std::uint64_t shard_rerouted = 0;
-    /** Per-shard slices, in shard order; empty on the flat path. */
+    /** Per-shard slices, in shard order; empty for a flat spec. */
     std::vector<ShardOutcome> per_shard;
     /** True when the run routed through the autoscaler. */
     bool autoscaled = false;
@@ -212,7 +218,7 @@ struct ClusterPointResult
     std::vector<ReplicaOutcome> per_replica;
 };
 
-/** N Accelerator replicas behind a Router. */
+/** N Accelerator replicas behind one FleetRouter. */
 class Cluster
 {
   public:

@@ -132,37 +132,61 @@ ResilienceSpec::validate() const
 }
 
 ControlPlane::ControlPlane(const ResilienceSpec &spec,
+                           FleetRouter &router)
+    : spec_(spec), replicas_(router.config().replicas), router_(router),
+      admission_(spec.admission,
+                 spec.admission.rate_factor *
+                     static_cast<double>(replicas_) *
+                     router.config().service_rate_per_cycle)
+{
+    if (spec_.breaker.enabled) {
+        breakers_.reserve(replicas_);
+        for (std::size_t r = 0; r < replicas_; ++r)
+            breakers_.emplace_back(spec_.breaker);
+        router_.setHealthVeto([this](std::size_t r, Tick t) {
+            return breakers_[r].allows(t);
+        });
+    }
+}
+
+ControlPlane::ControlPlane(const ResilienceSpec &spec,
                            RoutingPolicy policy, std::size_t replicas,
                            double service_rate_per_cycle,
                            std::size_t latency_window,
                            std::vector<RouterOutage> outages)
-    : spec_(spec), replicas_(replicas),
-      router_(policy, replicas, service_rate_per_cycle, latency_window,
-              std::move(outages)),
-      admission_(spec.admission, spec.admission.rate_factor *
-                                     static_cast<double>(replicas) *
-                                     service_rate_per_cycle)
+    : ControlPlane(spec, std::make_unique<FleetRouter>(
+                             FleetRouter::Config{
+                                 .replica_policy = policy,
+                                 .replicas = replicas,
+                                 .service_rate_per_cycle =
+                                     service_rate_per_cycle,
+                                 .latency_window = latency_window},
+                             std::move(outages)))
 {
-    if (spec_.breaker.enabled) {
-        breakers_.reserve(replicas);
-        for (std::size_t r = 0; r < replicas; ++r)
-            breakers_.emplace_back(spec_.breaker);
-        router_.setAvailabilityFilter([this](std::size_t r, Tick t) {
-            return breakers_[r].allows(t);
-        });
-    }
+}
+
+ControlPlane::ControlPlane(const ResilienceSpec &spec,
+                           std::unique_ptr<FleetRouter> owned)
+    : ControlPlane(spec, *owned)
+{
+    owned_ = std::move(owned);
 }
 
 void
 ControlPlane::observeHealth(Tick t)
 {
     // One probe round per dispatch event; each breaker rate-limits
-    // itself to probe_interval_cycles. Health is causal: the outage
-    // calendar plus the replica's own window-p99 estimate.
+    // itself to probe_interval_cycles. Every round observes every
+    // breaker at the same tick, so they share one rate limit: a round
+    // the first breaker would ignore, they all ignore, and it is
+    // skipped before any health signal is computed. Health is causal:
+    // the outage calendar plus the replica's own window-p99 estimate.
+    if (!breakers_.front().probeDue(t))
+        return;
     for (std::size_t r = 0; r < replicas_; ++r) {
         bool healthy = router_.alive(r, t);
         if (healthy && spec_.breaker.latency_trip_cycles > 0.0) {
-            healthy = router_.estimators()[r].windowP99() <=
+            healthy = router_.estimator(r).windowP99() <=
                       spec_.breaker.latency_trip_cycles;
         }
         breakers_[r].observe(t, healthy);
@@ -183,6 +207,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                     Tick max_ticks,
                     const std::vector<RouterSurge> &surges)
 {
+    router_.beginRoute(max_ticks);
     RouterResult res;
     res.traces.resize(replicas_);
     res.assigned.assign(replicas_, 0);
@@ -289,8 +314,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
         retry_tokens = std::min(spec_.retry.max_budget,
                                 retry_tokens + spec_.retry.budget_ratio);
 
-        double est =
-            router_.estimators()[r].lastAssignmentEstimateCycles();
+        double est = router_.estimator(r).lastAssignmentEstimateCycles();
         admission_.noteDispatch(est);
 
         if (spec_.hedge.enabled) {
@@ -315,7 +339,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                     // predicted faster wins; the loser is accounted
                     // cancelled but still occupies its replica (the
                     // honest capacity cost of hedging).
-                    double est_alt = router_.estimators()[alt]
+                    double est_alt = router_.estimator(alt)
                                          .lastAssignmentEstimateCycles();
                     if (est_alt < est)
                         ++stats_.hedge_wins;
@@ -325,6 +349,11 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
         }
     }
 
+    router_.finishRoute(max_ticks);
+    EQX_ASSERT(router_.shedCount() == stats_.retry_attempts +
+                                          stats_.retry_shed +
+                                          stats_.outage_shed,
+               "a failed pick was neither retried nor shed");
     EQX_ASSERT(heap.reallocations() == 0,
                "dispatch heap reallocated mid-route: reserve(",
                ticks.size(), ") was not the high-water mark (saw ",

@@ -2,8 +2,10 @@
  * @file
  * The overload-resilience control plane of the cluster front-end.
  *
- * Sits between the arrival generator and the Router and layers four
- * mechanisms over plain routing (DESIGN.md section 2.5):
+ * An optional stage of the one routing pipeline, between the candidate
+ * stream and the FleetRouter (the flat fleet is its one-shard case),
+ * that layers four mechanisms over plain routing (DESIGN.md section
+ * 2.5):
  *
  *   admission -> routing -> hedging -> circuit breaking
  *
@@ -14,12 +16,18 @@
  *     bounded by a token budget refilled by successful dispatches.
  *   - A hedging layer duplicates a dispatch whose latency estimate
  *     exceeds latency_factor x the sliding-window p99 of recent
- *     estimates, onto the best alternate replica; first-wins
+ *     estimates, onto the best alternate replica in the primary's
+ *     shard; first-wins
  *     cancellation is accounted against the router's causal model
  *     (the predicted-faster copy "wins"), while both copies occupy
  *     real replica capacity -- the honest cost of hedging.
  *   - Per-replica CircuitBreakers veto routing to replicas whose
- *     health probes (outage state + window-p99 latency) keep failing.
+ *     health probes (outage state + window-p99 latency) keep failing;
+ *     the veto composes with the autoscaler's routability, and a shard
+ *     whose replicas are all vetoed is skipped at the shard tier.
+ *
+ * Every post-admission pick, retries included, is a FleetRouter pick,
+ * so the autoscaler counts it as offered load.
  *
  * Determinism: candidates, priority tags, retry jitter, and chaos all
  * draw from separate seeded Rng streams; retries and hedges are
@@ -34,11 +42,13 @@
 #define EQUINOX_CLUSTER_CONTROL_PLANE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/admission.hh"
 #include "cluster/circuit_breaker.hh"
+#include "cluster/fleet.hh"
 #include "cluster/router.hh"
 
 namespace equinox
@@ -46,7 +56,7 @@ namespace equinox
 namespace cluster
 {
 
-/** Client-side retry budget over the Router (defaults: off). */
+/** Client-side retry budget over the router (defaults: off). */
 struct RetryConfig
 {
     bool enabled = false;
@@ -163,26 +173,36 @@ struct ResilienceStats
     }
 };
 
-/** Admission + retries + hedging + breakers around one Router. */
+/** Admission + retries + hedging + breakers, a stage over a FleetRouter. */
 class ControlPlane
 {
   public:
     /**
+     * A stage over @p router, which must outlive this ControlPlane.
+     * The breakers become the router's health veto; the token bucket
+     * refills at admission.rate_factor x replicas x service rate of
+     * the router's config.
      * @param spec validated resilience knobs
-     * @param policy,replicas,service_rate_per_cycle,latency_window,
-     *        outages forwarded to the underlying Router; the token
-     *        bucket refills at
-     *        admission.rate_factor x replicas x service rate
+     */
+    ControlPlane(const ResilienceSpec &spec, FleetRouter &router);
+
+    /**
+     * The one-shard case: a stage over its own flat FleetRouter, one
+     * shard of @p replicas under @p policy.
      */
     ControlPlane(const ResilienceSpec &spec, RoutingPolicy policy,
                  std::size_t replicas, double service_rate_per_cycle,
                  std::size_t latency_window,
                  std::vector<RouterOutage> outages);
 
+    /** The router's health veto points back at this object. */
+    ControlPlane(const ControlPlane &) = delete;
+    ControlPlane &operator=(const ControlPlane &) = delete;
+
     /**
      * Route one run's candidate stream through the control plane.
-     * Same contract as Router::route, plus: RouterResult::shed counts
-     * every control-plane shed (stats().totalShed()), and the
+     * Same contract as FleetRouter::route, plus: RouterResult::shed
+     * counts every control-plane shed (stats().totalShed()), and the
      * conservation identities become
      *   generated == dispatched + shed
      *   sum(assigned) == dispatched + hedges_issued.
@@ -196,18 +216,17 @@ class ControlPlane
     /** Fraction of candidates that arrived during fleet overload. */
     double overloadFraction() const;
 
-    /** Breaker of replica @p r (tests; empty unless enabled). */
-    const CircuitBreaker &breaker(std::size_t r) const
-    {
-        return breakers_[r];
-    }
-
   private:
+    ControlPlane(const ResilienceSpec &spec,
+                 std::unique_ptr<FleetRouter> owned);
+
     void observeHealth(Tick t);
 
     ResilienceSpec spec_;
     std::size_t replicas_;
-    Router router_;
+    /** Set by the one-shard constructor only. */
+    std::unique_ptr<FleetRouter> owned_;
+    FleetRouter &router_;
     AdmissionController admission_;
     std::vector<CircuitBreaker> breakers_;
     ResilienceStats stats_;

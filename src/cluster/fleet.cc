@@ -143,17 +143,37 @@ FleetRouter::FleetRouter(const Config &cfg,
         stats_.min_active = initial;
         stats_.max_active = initial;
         stats_.final_active = initial;
-        // The routability veto rides the same filter hook the control
-        // plane's breakers use: inner picks skip deactivated and
-        // still-warming replicas exactly like dead ones.
-        for (std::size_t s = 0; s < shards_; ++s) {
-            std::size_t b = base_[s];
-            inner_[s].setAvailabilityFilter(
-                [this, b](std::size_t local_r, Tick t) {
-                    return routable(b + local_r, t);
-                });
-        }
+        installFilters();
     }
+}
+
+void
+FleetRouter::installFilters()
+{
+    // The autoscaler's routability and the health veto ride the inner
+    // routers' one filter hook: inner picks skip deactivated,
+    // still-warming and vetoed replicas exactly like dead ones.
+    for (std::size_t s = 0; s < shards_; ++s) {
+        std::size_t b = base_[s];
+        inner_[s].setAvailabilityFilter(
+            [this, b](std::size_t local_r, Tick t) {
+                return admits(b + local_r, t);
+            });
+    }
+}
+
+bool
+FleetRouter::admits(std::size_t replica, Tick t) const
+{
+    return (!cfg_.autoscale || routable(replica, t)) &&
+           (!veto_ || veto_(replica, t));
+}
+
+void
+FleetRouter::setHealthVeto(std::function<bool(std::size_t, Tick)> veto)
+{
+    veto_ = std::move(veto);
+    installFilters();
 }
 
 std::size_t
@@ -161,6 +181,8 @@ FleetRouter::shardOf(std::size_t replica) const
 {
     EQX_ASSERT(replica < cfg_.replicas, "replica ", replica, " of ",
                cfg_.replicas);
+    if (shards_ == 1)
+        return 0;
     std::size_t n = cfg_.replicas;
     std::size_t size = n / shards_;
     std::size_t rem = n % shards_;
@@ -196,7 +218,9 @@ FleetRouter::shardAvailable(std::size_t s, Tick t) const
     // all.
     if (cfg_.autoscale && !routable(base_[s], t))
         return false;
-    if (!shard_has_outage_[s])
+    // A health veto can darken a shard that has no outage, so only a
+    // shard free of both skips the member scan.
+    if (!shard_has_outage_[s] && !veto_)
         return true;
     return inner_[s].anyAvailable(t);
 }
@@ -259,14 +283,19 @@ FleetRouter::pick(Tick t)
 {
     if (cfg_.autoscale)
         onCandidate(t);
-    for (auto &e : shard_est_)
-        e.drainTo(t);
-
-    std::size_t s = pickShard(t);
+    // One shard: pickShard could only return 0 and never re-routes, so
+    // the shard tier (and its estimator) is skipped outright.
+    std::size_t s = 0;
+    if (shards_ > 1) {
+        for (auto &e : shard_est_)
+            e.drainTo(t);
+        s = pickShard(t);
+    }
     std::size_t local = inner_[s].pick(t);
     if (local == kNoReplica)
         return kNoReplica; // the inner router counted the shed
-    shard_est_[s].assign(t);
+    if (shards_ > 1)
+        shard_est_[s].assign(t);
 
     if (cfg_.autoscale) {
         // Feedback signal: the model latency the just-assigned request
@@ -415,11 +444,82 @@ FleetRouter::finishRoute(Tick max_ticks)
             : 0.0;
 }
 
+void
+FleetRouter::drainAll(Tick t)
+{
+    for (auto &r : inner_)
+        r.drainAll(t);
+}
+
+double
+FleetRouter::meanBacklog() const
+{
+    // One accumulator over the shards in order is one pass over the
+    // global index space: the flat Router's sum, bit for bit.
+    double sum = 0.0;
+    for (const auto &r : inner_) {
+        for (const auto &e : r.estimators())
+            sum += e.backlog();
+    }
+    return sum / static_cast<double>(cfg_.replicas);
+}
+
+bool
+FleetRouter::alive(std::size_t replica, Tick t) const
+{
+    std::size_t s = shardOf(replica);
+    return inner_[s].alive(replica - base_[s], t);
+}
+
+const ReplicaEstimator &
+FleetRouter::estimator(std::size_t replica) const
+{
+    std::size_t s = shardOf(replica);
+    return inner_[s].estimators()[replica - base_[s]];
+}
+
+std::size_t
+FleetRouter::pickAlternate(Tick t, std::size_t exclude) const
+{
+    std::size_t s = shardOf(exclude);
+    std::size_t local = inner_[s].pickAlternate(t, exclude - base_[s]);
+    return local == kNoReplica ? kNoReplica : base_[s] + local;
+}
+
+void
+FleetRouter::assignTo(std::size_t replica, Tick t)
+{
+    std::size_t s = shardOf(replica);
+    inner_[s].assignTo(replica - base_[s], t);
+    // The duplicate loads its shard like any assignment (the shard
+    // estimator is unused with one shard).
+    if (shards_ > 1)
+        shard_est_[s].assign(t);
+}
+
+std::uint64_t
+FleetRouter::shedCount() const
+{
+    std::uint64_t shed = 0;
+    for (const auto &r : inner_)
+        shed += r.shedCount();
+    return shed;
+}
+
+std::uint64_t
+FleetRouter::reroutedCount() const
+{
+    std::uint64_t rerouted = shard_rerouted_;
+    for (const auto &r : inner_)
+        rerouted += r.reroutedCount();
+    return rerouted;
+}
+
 RouterResult
 FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
                    Tick max_ticks, const std::vector<RouterSurge> &surges)
 {
-    horizon_ = max_ticks;
+    beginRoute(max_ticks);
     RouterResult res;
     res.traces.resize(cfg_.replicas);
     res.assigned.assign(cfg_.replicas, 0);
@@ -434,12 +534,8 @@ FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
         }
     }
     finishRoute(max_ticks);
-
-    for (const auto &r : inner_) {
-        res.shed += r.shedCount();
-        res.rerouted += r.reroutedCount();
-    }
-    res.rerouted += shard_rerouted_;
+    res.shed = shedCount();
+    res.rerouted = reroutedCount();
     return res;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fleet layer: hierarchical sharded routing and SLO-aware autoscaling
- * on top of the flat Router.
+ * Fleet layer: the router of every cluster run -- hierarchical sharded
+ * routing and SLO-aware autoscaling on top of the flat Router.
  *
  * At O(1024) replicas the flat router's per-candidate O(N) scans and
  * its single rotation/argmin become both a simulation cost and a
@@ -14,17 +14,27 @@
  * Router picks the replica -- O(S + N/S) per candidate instead of
  * O(N).
  *
- * Identity lemma (tests/test_fleet_differential.cc): with 1 shard,
+ * One pipeline: Cluster::run routes every spec through one FleetRouter
+ * (max(shards, 1) shards, plus the autoscaler when enabled), with the
+ * ControlPlane (cluster/control_plane.hh) as an optional stage in
+ * front. The stage reaches the router through the global-index view
+ * below (drain, mean backlog, estimators, hedge alternates, a health
+ * veto), so admission, retries, hedging and breakers compose with
+ * sharding and autoscaling.
+ *
+ * Identity lemma (tests/test_fleet_differential.cc): with 1 shard the
+ * shard tier is skipped -- pickShard could only return shard 0 -- and
  * every pick delegates to the single inner Router with the exact call
- * sequence of the flat path -- including the shed path, where the
- * chosen shard's inner pick still runs so its round-robin cursor
- * advances exactly like the flat router's -- so a 1-shard fleet is
- * byte-identical to the flat Router under every policy, outage plan,
- * and traffic shape.
+ * sequence of a flat Router::pick loop, so a flat fleet is the 1-shard
+ * case, byte-identical under every policy, outage plan, and traffic
+ * shape. With more shards the shed path still runs the chosen shard's
+ * inner pick, so its round-robin cursor advances like a flat router's.
  *
  * The autoscaler is causal like every routing decision: it reads only
  * the router-side estimate stream and its own candidate counts, never
- * the replica simulations. Replicas activate/deactivate as a prefix of
+ * the replica simulations. It counts every pick() -- behind the
+ * control plane that is every post-admission pick, retries included.
+ * Replicas activate/deactivate as a prefix of
  * the global index space (lowest indices first), activations pay a
  * warm-up lag before becoming routable, and decisions respect a
  * cooldown (hysteresis). Scale-up combines a feed-forward plan from
@@ -38,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,9 +130,10 @@ struct AutoscalerStats
 struct FleetSpec
 {
     /**
-     * Shard count for the hierarchical router; 0 keeps the flat
-     * Router (the fleet layer constructs nothing). Shards partition
-     * the replicas contiguously and balanced (sizes differ by <= 1).
+     * Shard count of the FleetRouter; 0 routes flat (one shard over
+     * every replica, and no fleet fields in the result). Shards
+     * partition the replicas contiguously and balanced (sizes differ
+     * by <= 1).
      */
     std::size_t shards = 0;
     /** Policy of the shard tier (replica tier uses ClusterSpec's). */
@@ -136,7 +148,10 @@ struct FleetSpec
     {
         return shards > 0 || autoscaler.enabled || traffic.enabled();
     }
-    /** True when routing must go through the FleetRouter. */
+    /**
+     * True when the run reports the fleet tier (shards, per-shard
+     * slices, autoscaler); every run routes through a FleetRouter.
+     */
     bool
     routesHierarchically() const
     {
@@ -179,18 +194,30 @@ class FleetRouter
 
     FleetRouter(const Config &cfg, std::vector<RouterOutage> outages);
 
-    /** Route the global candidate stream; same contract as
-     *  Router::route, with global replica indices in the result. */
+    /** The inner routers' availability filters point back at this
+     *  object. */
+    FleetRouter(const FleetRouter &) = delete;
+    FleetRouter &operator=(const FleetRouter &) = delete;
+
+    /** Route the global candidate stream, one pick() per candidate:
+     *  RouterResult with global replica indices. */
     RouterResult route(double rate_per_cycle, std::uint64_t seed,
                        Tick max_ticks,
                        const std::vector<RouterSurge> &surges = {});
 
     /**
-     * Route one candidate at @p t: autoscaler bookkeeping, shard pick,
-     * inner replica pick; returns the global replica index or
-     * kNoReplica. Exposed for unit tests; route() calls this.
+     * Route one candidate at @p t: autoscaler bookkeeping, shard pick
+     * (skipped with one shard), inner replica pick; returns the global
+     * replica index or kNoReplica.
      */
     std::size_t pick(Tick t);
+
+    /**
+     * Open a routing pass over [0, @p max_ticks]: the autoscaler does
+     * not count candidates past it. route() calls this; standalone
+     * pick() users call it first (without it every candidate counts).
+     */
+    void beginRoute(Tick max_ticks) { horizon_ = max_ticks; }
 
     /**
      * Close the autoscaler's interval accounting at the run horizon.
@@ -218,13 +245,55 @@ class FleetRouter
 
     const AutoscalerStats &autoscalerStats() const { return stats_; }
 
-    const std::vector<Router> &innerRouters() const { return inner_; }
+    // -- the control-plane stage's view, by global replica index ------
+
+    const Config &config() const { return cfg_; }
+
+    /** Advance every replica estimator's fluid drain to @p t. */
+    void drainAll(Tick t);
+
+    /**
+     * Mean estimated backlog over all replicas (after drainAll),
+     * summed in global index order: bitwise a flat Router's mean.
+     */
+    double meanBacklog() const;
+
+    /** True when @p replica is outside its planned outages at @p t. */
+    bool alive(std::size_t replica, Tick t) const;
+
+    const ReplicaEstimator &estimator(std::size_t replica) const;
+
+    /**
+     * The best available replica other than @p exclude in
+     * @p exclude's shard (hedges stay inside the primary's shard), by
+     * the replica policy's metric; kNoReplica when none. Does NOT
+     * assign.
+     */
+    std::size_t pickAlternate(Tick t, std::size_t exclude) const;
+
+    /** Account one hedged duplicate assigned to @p replica at @p t. */
+    void assignTo(std::size_t replica, Tick t);
+
+    /**
+     * Install a health veto (the control plane's circuit breakers),
+     * consulted on top of outages and the autoscaler's routability:
+     * a vetoed replica is skipped like a dead one, and a shard whose
+     * replicas are all vetoed is skipped like a dark shard.
+     */
+    void setHealthVeto(std::function<bool(std::size_t, Tick)> veto);
+
+    /** Candidates shed because the picked shard had no replica. */
+    std::uint64_t shedCount() const;
+    /** Replica-level plus shard-level re-routes. */
+    std::uint64_t reroutedCount() const;
 
   private:
     bool shardAvailable(std::size_t s, Tick t) const;
     double shardMetric(std::size_t s) const;
     std::size_t pickShard(Tick t);
     bool routable(std::size_t replica, Tick t) const;
+    bool admits(std::size_t replica, Tick t) const;
+    void installFilters();
     void onCandidate(Tick t);
     void decide(Tick boundary);
     void setProvisioned(Tick boundary, std::size_t desired);
@@ -239,6 +308,7 @@ class FleetRouter
     std::vector<char> shard_has_outage_;
     std::size_t shard_rr_ = 0;
     std::uint64_t shard_rerouted_ = 0;
+    std::function<bool(std::size_t, Tick)> veto_;
 
     // -- autoscaler state (untouched when cfg_.autoscale is false) ----
     /** First tick replica r serves; kNeverTick = not provisioned. */

@@ -129,15 +129,6 @@ Router::drainAll(Tick t)
         e.drainTo(t);
 }
 
-double
-Router::meanBacklog() const
-{
-    double sum = 0.0;
-    for (const auto &e : estimators_)
-        sum += e.backlog();
-    return sum / static_cast<double>(replicas_);
-}
-
 std::size_t
 Router::pickRoundRobin(Tick t)
 {
@@ -226,28 +217,6 @@ Router::pick(Tick t)
     }
     estimators_[choice].assign(t);
     return choice;
-}
-
-RouterResult
-Router::route(double rate_per_cycle, std::uint64_t seed, Tick max_ticks,
-              const std::vector<RouterSurge> &surges)
-{
-    RouterResult res;
-    res.traces.resize(replicas_);
-    res.assigned.assign(replicas_, 0);
-
-    CandidateStream stream(rate_per_cycle, seed, max_ticks, surges);
-    for (Tick t = 0; stream.next(t);) {
-        ++res.generated;
-        std::size_t r = pick(t);
-        if (r != kNoReplica) {
-            res.traces[r].push_back(t);
-            ++res.assigned[r];
-        }
-    }
-    res.shed = shed_;
-    res.rerouted = rerouted_;
-    return res;
 }
 
 } // namespace cluster

@@ -1,7 +1,7 @@
 /**
  * @file
- * The cluster front-end: generates the global inference arrival stream
- * and splits it into one candidate tick trace per replica.
+ * The front of the routing pipeline: the global inference candidate
+ * stream, and the flat Router that picks a replica per candidate.
  *
  * The arrival generator replays the single-accelerator recipe exactly
  * -- Rng(seed * 7919 + 1), exponential inter-arrival draws at the
@@ -9,6 +9,10 @@
  * 1-replica cluster hands its only replica the very tick sequence a
  * stochastic single-accelerator run would have drawn, and the replica
  * run is byte-identical to it (tests/test_cluster_differential.cc).
+ *
+ * The Router is the replica tier of FleetRouter (cluster/fleet.hh):
+ * every cluster run routes through a FleetRouter, and a flat fleet is
+ * its one-shard case, one Router over every replica.
  *
  * Routing decisions are causal: they read only the router's own
  * ReplicaEstimator state, never the replica simulations, so the
@@ -115,7 +119,10 @@ struct RouterResult
     std::uint64_t rerouted = 0;
 };
 
-/** Splits the global arrival stream across replicas by policy. */
+/**
+ * Picks one replica per candidate by policy: the replica tier of
+ * FleetRouter, one Router per shard.
+ */
 class Router
 {
   public:
@@ -132,41 +139,30 @@ class Router
            std::vector<RouterOutage> outages);
 
     /**
-     * Draw the global candidate stream and route every candidate.
-     * @param rate_per_cycle aggregate candidate rate in arrivals per
-     *        cycle (bursty peak rate included); <= 0 yields no traffic
-     * @param seed the RunSpec seed the stream replays
-     * @param max_ticks run horizon; generation stops at the first
-     *        candidate beyond it (which is still routed -- the event
-     *        loop dispatches one event past the horizon)
-     * @param surges optional arrival surge windows (flash crowds)
-     */
-    RouterResult route(double rate_per_cycle, std::uint64_t seed,
-                       Tick max_ticks,
-                       const std::vector<RouterSurge> &surges = {});
-
-    /**
      * Route one candidate at @p t: updates the estimators and health
      * view, returns the chosen replica or kNoReplica when every
-     * replica is down. Exposed for unit tests; route() calls this.
+     * replica is down. FleetRouter calls this as each shard's replica
+     * picker; a Router on its own is the one-shard case.
      */
     std::size_t pick(Tick t);
 
-    /** True when @p replica is inside a planned outage at @p t. */
+    /** True when @p replica is outside its planned outages at @p t. */
     bool alive(std::size_t replica, Tick t) const;
 
     /**
      * True when at least one replica is available (alive AND not
      * vetoed by the availability filter) at @p t. The fleet tier's
-     * shard-availability check reads this for shards with outages.
+     * shard-availability check reads this for shards with outages or
+     * a health veto.
      */
     bool anyAvailable(Tick t) const;
 
     /**
-     * Install a health veto consulted on top of the outage windows
-     * (the control plane's circuit breakers). A vetoed replica is
-     * skipped by pick() exactly like a dead one; alive() itself stays
-     * outage-only so health checks observe the raw outage state.
+     * Install a filter consulted on top of the outage windows
+     * (FleetRouter's autoscaler routability and health veto). A
+     * filtered replica is skipped by pick() exactly like a dead one;
+     * alive() itself stays outage-only so health checks observe the
+     * raw outage state.
      */
     void
     setAvailabilityFilter(std::function<bool(std::size_t, Tick)> filter)
@@ -176,9 +172,6 @@ class Router
 
     /** Advance every estimator's fluid drain to @p t. */
     void drainAll(Tick t);
-
-    /** Mean estimated backlog across replicas (after drainAll). */
-    double meanBacklog() const;
 
     /**
      * The best available replica other than @p exclude by the policy

@@ -50,8 +50,9 @@ sweepOptions()
  * Replay the service-0 candidate recipe RequestDispatcher draws when
  * running stochastically: Rng(seed * 7919 + 1), exponential waits at
  * @p rate_per_cycle, `Tick(wait) + 1` increments, one candidate past
- * @p max_ticks. This is the same recipe Router::route implements; the
- * test keeps its own copy so a router regression cannot hide.
+ * @p max_ticks. This is the same recipe cluster::CandidateStream
+ * implements; the test keeps its own copy so a router regression
+ * cannot hide.
  */
 std::vector<Tick>
 replayCandidates(std::uint64_t seed, double rate_per_cycle, Tick max_ticks)

@@ -33,6 +33,7 @@
 #include "cluster/router.hh"
 #include "cluster/sweep.hh"
 #include "cluster_digest.hh"
+#include "flat_route.hh"
 #include "common/random.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/metrics_snapshot.hh"
@@ -176,7 +177,8 @@ TEST(Router, RouteConservesCandidatesAndEmitsSortedTraces)
 {
     for (auto policy : cluster::allRoutingPolicies()) {
         cluster::Router router(policy, 3, 0.01, 8, {{2, 0, 5000}});
-        cluster::RouterResult r = router.route(0.002, 11, 100000);
+        cluster::RouterResult r =
+            testutil::routeFlat(router, 0.002, 11, 100000);
         std::uint64_t assigned = 0;
         for (std::size_t i = 0; i < 3; ++i) {
             EXPECT_EQ(r.assigned[i], r.traces[i].size());
@@ -206,7 +208,8 @@ TEST(Router, SingleReplicaRouteReplaysTheDispatcherRecipe)
     const Tick horizon = 50000;
     cluster::Router router(cluster::RoutingPolicy::RoundRobin, 1, 0.01,
                            4, {});
-    cluster::RouterResult r = router.route(rate, seed, horizon);
+    cluster::RouterResult r =
+        testutil::routeFlat(router, rate, seed, horizon);
 
     std::vector<Tick> expect;
     Rng rng(seed * 7919 + 1);
@@ -225,7 +228,7 @@ TEST(Router, ZeroRateYieldsNoTraffic)
 {
     cluster::Router router(cluster::RoutingPolicy::RoundRobin, 2, 0.01,
                            4, {});
-    cluster::RouterResult r = router.route(0.0, 1, 1000);
+    cluster::RouterResult r = testutil::routeFlat(router, 0.0, 1, 1000);
     EXPECT_EQ(r.generated, 0u);
     EXPECT_TRUE(r.traces[0].empty());
     EXPECT_TRUE(r.traces[1].empty());
@@ -557,8 +560,8 @@ TEST(Router, SimultaneousMultiReplicaOutageReroutesDeterministically)
     // The whole routed stream replays identically.
     auto b = mkRouter();
     auto c = mkRouter();
-    auto rb = b.route(2e-3, 23, 1000);
-    auto rc = c.route(2e-3, 23, 1000);
+    auto rb = testutil::routeFlat(b, 2e-3, 23, 1000);
+    auto rc = testutil::routeFlat(c, 2e-3, 23, 1000);
     ASSERT_EQ(rb.traces.size(), rc.traces.size());
     for (std::size_t r = 0; r < rb.traces.size(); ++r)
         EXPECT_EQ(rb.traces[r], rc.traces[r]) << "replica " << r;

@@ -3,12 +3,13 @@
  * Differential tests pinning the fleet tier to the flat cluster layer
  * it is built from:
  *
- *  - a 1-shard FleetRouter is byte-identical to the flat Router under
- *    every (replica policy x shard policy) pair, including outage
- *    windows, a full blackout (the shed path must advance the same
- *    round-robin cursor), and surge windows,
- *  - a 1-shard fleet Cluster run is byte-identical to the flat path
- *    under chaos plans, traffic mixes, and training placement,
+ *  - a 1-shard FleetRouter is byte-identical to a flat Router::pick
+ *    loop under every (replica policy x shard policy) pair, including
+ *    outage windows, a full blackout (the shed path must advance the
+ *    same round-robin cursor), and surge windows,
+ *  - a spec with fleet.shards = 1 runs byte-identically to a flat spec
+ *    (both route through one shard; only the first reports the fleet
+ *    fields) under chaos plans, traffic mixes, and training placement,
  *  - a pinned autoscaler (min == max == fleet size) routes exactly
  *    like an autoscaler-disabled fleet,
  *  - replicas >> workers: the strided fan-out is byte-identical to
@@ -30,6 +31,7 @@
 #include "cluster/router.hh"
 #include "cluster/sweep.hh"
 #include "cluster_digest.hh"
+#include "flat_route.hh"
 #include "common/random.hh"
 #include "core/experiment.hh"
 #include "fault/chaos_plan.hh"
@@ -72,9 +74,8 @@ oneShardConfig(cluster::RoutingPolicy policy,
 }
 
 /** Every behavioural field of two cluster points, compared bitwise
- *  (the fleet-tier reporting fields are intentionally excluded: the
- *  two sides route through different code paths and only the fleet
- *  side fills them). */
+ *  (the fleet-tier reporting fields are intentionally excluded: only
+ *  a spec that configures the fleet tier fills them). */
 void
 expectCoreEqual(const cluster::ClusterPointResult &a,
                 const cluster::ClusterPointResult &b)
@@ -144,7 +145,7 @@ TEST(FleetDifferential, OneShardRouterMatchesFlatEveryPolicy)
         for (auto shard_policy : cluster::allRoutingPolicies()) {
             cluster::Router flat(policy, n, mu, window, outages);
             cluster::RouterResult a =
-                flat.route(6.0e-4, 99, horizon, surges);
+                testutil::routeFlat(flat, 6.0e-4, 99, horizon, surges);
 
             cluster::FleetRouter fleet(
                 oneShardConfig(policy, shard_policy, n, mu, window),

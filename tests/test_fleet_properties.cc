@@ -542,21 +542,23 @@ TEST(ClusterSpecValidate, FleetCrossChecksFire)
     spec.fleet.autoscaler.enabled = true;
     spec.fleet.autoscaler.min_replicas = 9; // exceeds the fleet
     spec.fleet.autoscaler.target_p99_s = 0.001;
-    spec.resilience.retry.enabled = true; // cannot compose
     auto errors = spec.validate();
     std::size_t fleet_errors = 0;
     for (const auto &e : errors)
         if (e.rfind("fleet:", 0) == 0)
             ++fleet_errors;
-    EXPECT_EQ(fleet_errors, 3u) << "shards > replicas, min > fleet, "
-                                   "resilience composition";
+    EXPECT_EQ(fleet_errors, 2u) << "shards > replicas, min > fleet";
 
+    // Sharding, autoscaling and the resilience control plane compose.
     cluster::ClusterSpec ok;
     ok.replicas = 8;
     ok.fleet.shards = 4;
     ok.fleet.autoscaler.enabled = true;
     ok.fleet.autoscaler.min_replicas = 2;
     ok.fleet.autoscaler.target_p99_s = 0.001;
+    ok.resilience.retry.enabled = true;
+    ok.resilience.breaker.enabled = true;
+    EXPECT_TRUE(ok.resilience.enabled());
     EXPECT_TRUE(ok.validate().empty());
 }
 

@@ -20,6 +20,7 @@
 #include "cluster/router.hh"
 #include "common/random.hh"
 #include "fault/chaos_plan.hh"
+#include "flat_route.hh"
 
 namespace equinox
 {
@@ -564,7 +565,7 @@ TEST(ControlPlane, TaggingOnlySpecRoutesIdenticallyToTheRouter)
 
     cluster::Router router(cluster::RoutingPolicy::JoinShortestQueue, 3,
                            mu, 64, {});
-    auto b = router.route(2.4e-3, 5, horizon);
+    auto b = testutil::routeFlat(router, 2.4e-3, 5, horizon);
 
     ASSERT_EQ(a.traces.size(), b.traces.size());
     for (std::size_t r = 0; r < a.traces.size(); ++r)
