@@ -87,11 +87,12 @@ struct BenchArgs
  * variable, else hardware concurrency; 1 forces the exact serial code
  * path); `--trace FILE` exports a Chrome/Perfetto trace of one
  * representative run; `--metrics FILE` exports the machine-readable
- * metrics snapshot. Unrecognised arguments are ignored so benches can
- * add their own flags.
+ * metrics snapshot. The consumed flags are removed from argv (and
+ * argc updated); every other argument stays, in order, for a bench's
+ * own parser.
  */
 inline BenchArgs
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int &argc, char **argv)
 {
     BenchArgs args;
     args.jobs = defaultJobs();
@@ -108,6 +109,7 @@ parseBenchArgs(int argc, char **argv)
         }
         return false;
     };
+    int kept = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         std::string value;
@@ -141,20 +143,24 @@ parseBenchArgs(int argc, char **argv)
                 "cycle-accurately and die on digest divergence\n",
                 argv[0]);
             std::exit(0);
+        } else {
+            argv[kept++] = argv[i];
         }
     }
+    argv[kept] = nullptr;
+    argc = kept;
     return args;
 }
 
 /**
  * Perf harness every bench binary runs under: prints the artefact
- * banner, parses `--jobs` / `--trace` / `--metrics`, and on finish()
- * writes `BENCH_<artifact>.json` -- wall-clock seconds, simulation
- * events dispatched, events/second, jobs used, and (when the bench
- * recorded its load points) the simulated latency percentiles and the
- * peak delivered ops rate, so the perf *and* quality trajectory of
- * each artefact is recorded run over run. The BENCH record schema is
- * documented in EXPERIMENTS.md.
+ * banner, consumes `--jobs` / `--trace` / `--metrics` from argv (see
+ * parseBenchArgs), and on finish() writes `BENCH_<artifact>.json` --
+ * wall-clock seconds, simulation events dispatched, events/second,
+ * jobs used, and (when the bench recorded its load points) the
+ * simulated latency percentiles and the peak delivered ops rate, so
+ * the perf *and* quality trajectory of each artefact is recorded run
+ * over run. The BENCH record schema is documented in EXPERIMENTS.md.
  *
  * `--metrics FILE` additionally writes the full obs::MetricsSnapshot
  * (recorded sweeps land under "sweeps.<label>"); `--trace FILE` is
@@ -163,7 +169,7 @@ parseBenchArgs(int argc, char **argv)
 class Harness
 {
   public:
-    Harness(int argc, char **argv, std::string artifact,
+    Harness(int &argc, char **argv, std::string artifact,
             const std::string &title, const std::string &description)
         : artifact_(std::move(artifact)),
           args_(parseBenchArgs(argc, argv)),

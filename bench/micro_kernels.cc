@@ -243,12 +243,10 @@ BENCHMARK(BM_CompileResnetTraining);
 int
 main(int argc, char **argv)
 {
-    // google-benchmark owns the command line here (its flag parser
-    // rejects foreign flags), so the harness is constructed without
-    // argv: microbenchmarks have no sweeps to fan out, the harness only
-    // records the wall clock and emits BENCH_micro_kernels.json.
-    int no_args = 1;
-    equinox::bench::Harness harness(no_args, argv, "micro_kernels",
+    // The harness consumes the shared bench flags (--jobs, ...) from
+    // argv first; google-benchmark then parses what is left and still
+    // rejects any flag neither of them knows.
+    equinox::bench::Harness harness(argc, argv, "micro_kernels",
                                     "Microbenchmarks",
                                     "Hot-kernel timings (gemm engines, "
                                     "BFP, event queue, compiler)");

@@ -2,7 +2,7 @@
  * @file
  * Pool/arena allocation primitives for the simulator hot path.
  *
- * Three pieces, all allocation-free in the steady state:
+ * Two pieces, both allocation-free in the steady state:
  *
  *  - ObjectPool<T>: a construct-once object pool with a freelist.
  *    Objects are built exactly once and never destroyed until the pool
@@ -16,16 +16,6 @@
  *    subset of std::deque's interface (push_back/pop_front/front).
  *    Unlike std::deque it never allocates after warmup and iterating
  *    cost is a mask, not a segment lookup.
- *
- *  - callbackArenaAlloc/Free: size-class freelists backing the event
- *    kernel's heap-fallback callbacks (captures too big for the
- *    small-buffer optimization). Freelists are thread-local (no locks
- *    on the hot path); the backing chunks live in a process-global
- *    registry and are never unmapped, so a callback scheduled on one
- *    thread and destroyed on another (a pending event torn down by the
- *    next run's EventQueue rebuild on a different worker) simply
- *    migrates the node between freelists -- no use-after-free is
- *    possible and the blocks stay reachable (leak-checker clean).
  *
  * None of this changes observable simulation behaviour: pointers never
  * enter result digests, and the pools only recycle storage whose
@@ -108,8 +98,6 @@ class ObjectPool
     std::size_t live() const { return live_; }
     /** Most objects ever simultaneously handed out. */
     std::size_t highWater() const { return high_water_; }
-    /** Bytes of T storage owned (excludes T-internal allocations). */
-    std::size_t bytesReserved() const { return storage_.size() * sizeof(T); }
 
   private:
     /** unique_ptr per object: addresses stay stable across growth. */
@@ -174,28 +162,6 @@ class Ring
     std::size_t head_ = 0;
     std::size_t count_ = 0;
 };
-
-/**
- * Allocate @p size bytes for a heap-fallback callback payload from the
- * calling thread's size-class freelist (see file header). Sizes beyond
- * the largest class, and alignments beyond std::max_align_t, fall back
- * to plain operator new.
- */
-void *callbackArenaAlloc(std::size_t size, std::size_t align);
-
-/** Return a callbackArenaAlloc() block (any thread). */
-void callbackArenaFree(void *p, std::size_t size, std::size_t align);
-
-/** Pool-lifetime callback-arena counters (process-wide totals). */
-struct CallbackArenaStats
-{
-    std::uint64_t allocs = 0;      //!< arena-served allocations
-    std::uint64_t reuses = 0;      //!< served from a freelist
-    std::uint64_t fallbacks = 0;   //!< too big/aligned: operator new
-    std::uint64_t chunk_bytes = 0; //!< backing chunk bytes reserved
-};
-
-CallbackArenaStats callbackArenaStats();
 
 } // namespace common
 } // namespace equinox

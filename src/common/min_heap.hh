@@ -5,11 +5,13 @@
  *
  * std::priority_queue hides its container, so callers can neither
  * pre-size it to a known high-water mark nor prove afterwards that the
- * steady state stayed allocation-free. The simulator's dispatch loops
- * (EventQueue, the cluster control plane) know their high-water marks
- * up front -- the candidate recipe fixes how many entries can ever be
- * simultaneously pending -- so they reserve once and then assert
- * reallocations() == 0 after the run.
+ * steady state stayed allocation-free, and its const top() forces a
+ * copy where pop() here moves the element out (EventQueue's entries
+ * are move-only). Both dispatch loops know a high-water mark up front:
+ * EventQueue reserves the worst one a previous run observed, and the
+ * cluster control plane's candidate recipe fixes how many entries can
+ * ever be simultaneously pending. Each reserves once, and
+ * reallocations() audits that the reserve held.
  *
  * Ordering contract: Compare is a *greater-than* style comparator (as
  * std::push_heap wants for a min-heap via inversion); top() is the

@@ -9,12 +9,14 @@
  * its own share of the base rate with its own modulation. Like chaos,
  * a mix is purely declarative: materializeTraffic() flattens the
  * composed rate profile into piecewise-constant SurgeWindows, which
- * the router's existing Lewis-Shedler thinning (generateCandidateTicks)
- * consumes unchanged -- candidates are drawn at the peak rate and
- * thinned against the instantaneous factor. Because the windows are
- * non-overlapping, the router's max-over-windows semantics reduce to
- * "the factor of the window containing t"; chaos flash crowds laid on
- * top compose by max, not product, matching the existing rule.
+ * the router-side Lewis-Shedler thinning (cluster::CandidateStream,
+ * pulled by FleetRouter::route; ControlPlane::route drains it up front
+ * through generateCandidateTicks) consumes unchanged -- candidates are
+ * drawn at the peak rate and thinned against the instantaneous factor.
+ * Because the windows are non-overlapping, the router's
+ * max-over-windows semantics reduce to "the factor of the window
+ * containing t"; chaos flash crowds laid on top compose by max, not
+ * product, matching the existing rule.
  *
  * The default-constructed mix shapes nothing: materializeTraffic()
  * returns no windows and the arrival stream is byte-identical to a

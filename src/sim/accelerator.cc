@@ -110,11 +110,7 @@ Accelerator::registerStats(stats::StatRegistry &reg)
     for (auto *b : ctx.blocks)
         b->registerStats(reg);
     // Batch-arena gauges are per-accelerator (deterministic for a given
-    // run sequence). The callback arena's counters are process-global
-    // and deliberately NOT registered here: they differ between
-    // fast-forwarded and cycle-accurate runs sharing a process, which
-    // would break the FF-vs-CA MetricsSnapshot identity the fastpath
-    // tests assert.
+    // run sequence).
     reg.registerStat("arena.batch_objects",
                      [this] {
                          return static_cast<double>(
@@ -465,6 +461,13 @@ Accelerator::runOnce(const RunSpec &run_spec, bool use_ff,
     res.admitted_requests = requests->requestsAdmitted();
     res.retired_requests = ctx.completed_total;
     res.inflight_requests = requests->pendingInferenceWork();
+    // Request conservation: every admitted request retired or is still
+    // pending at the horizon.
+    EQX_ASSERT(res.admitted_requests ==
+                   res.retired_requests + res.inflight_requests,
+               "admitted ", res.admitted_requests, " != retired ",
+               res.retired_requests, " + inflight ",
+               res.inflight_requests);
     res.latency_cycles = latency;
     if (ctx.train) {
         res.committed_training_iterations =

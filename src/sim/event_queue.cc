@@ -1,6 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <atomic>
 
 #include "common/logging.hh"
@@ -47,10 +46,7 @@ EventQueue::schedule(Tick when, Callback cb)
         // the FIFO (refillFifo drained the heap of this tick).
         fifo_.push_back(Entry{when, next_seq++, std::move(cb)});
     } else {
-        if (heap_.size() == heap_.capacity())
-            ++heap_reallocs_;
-        heap_.push_back(Entry{when, next_seq++, std::move(cb)});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.push(Entry{when, next_seq++, std::move(cb)});
     }
     noteHighWater();
 }
@@ -66,17 +62,15 @@ EventQueue::refillFifo()
         tick_open_ = false;
         return false;
     }
-    const Tick t = heap_.front().when;
+    const Tick t = heap_.top().when;
     now_ = t;
     // Batched same-tick drain: pop every entry for tick t once, in
     // (tick, seq) order. Draining the FIFO afterwards never touches
     // the heap again, and same-tick schedules made by the callbacks
     // append behind fifo_head_ in O(1).
     do {
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        fifo_.push_back(std::move(heap_.back()));
-        heap_.pop_back();
-    } while (!heap_.empty() && heap_.front().when == t);
+        fifo_.push_back(heap_.pop());
+    } while (!heap_.empty() && heap_.top().when == t);
     tick_open_ = true;
     return true;
 }
@@ -93,27 +87,6 @@ EventQueue::runOne()
     ++dispatched_;
     cb();
     return true;
-}
-
-void
-EventQueue::runUntil(Tick limit)
-{
-    for (;;) {
-        if (fifo_head_ >= fifo_.size()) {
-            fifo_.clear();
-            fifo_head_ = 0;
-            tick_open_ = false;
-            if (heap_.empty() || heap_.front().when > limit)
-                break;
-        } else if (now_ > limit) {
-            // A previously opened tick past the limit still has
-            // undispatched entries; leave them pending.
-            break;
-        }
-        runOne();
-    }
-    if (now_ < limit && empty())
-        now_ = limit;
 }
 
 } // namespace sim

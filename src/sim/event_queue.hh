@@ -19,12 +19,13 @@
  * encode priority as call order, never by racing on a tick.
  *
  * Representation (hot-path kernel overhaul):
- *  - Callback is a small-buffer-optimized type-erased callable. Every
- *    closure the simulator schedules (a block pointer plus a couple of
- *    scalars) is trivially copyable and well under kInlineBytes, so the
- *    steady state performs zero per-event heap allocations -- unlike
- *    std::function, whose 16-byte libstdc++ SBO spilled the common
- *    [this, batch, chunk] capture to the heap on every schedule().
+ *  - Callback is an inline-only type-erased callable. Every closure
+ *    the simulator schedules (a block pointer plus a couple of
+ *    scalars) is trivially copyable and at most kInlineBytes, so every
+ *    schedule() is allocation-free -- unlike std::function, whose
+ *    16-byte libstdc++ SBO spilled the common [this, batch, chunk]
+ *    capture to the heap on every schedule(). Any other closure is a
+ *    compile error.
  *  - Dispatch is batched per tick: advancing to a new tick pops EVERY
  *    entry for that tick off the binary heap once, in (tick, seq)
  *    order, into a flat FIFO that is drained without re-heapifying.
@@ -57,7 +58,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hh"
+#include "common/min_heap.hh"
 #include "common/types.hh"
 
 namespace equinox
@@ -66,14 +67,13 @@ namespace sim
 {
 
 /**
- * Move-only type-erased callable with small-buffer optimization.
+ * Move-only type-erased callable stored inline.
  *
- * Trivially copyable callables up to kInlineBytes live inline in the
- * entry itself; anything larger (or with a non-trivial destructor)
- * falls back to a single heap allocation. Moves are a memcpy plus
- * nulling the source -- valid for the inline case because the payload
- * is trivially copyable, and for the heap case because only the owning
- * pointer moves.
+ * Only trivially copyable, trivially destructible closures of at most
+ * kInlineBytes (and at most max_align_t alignment) are accepted; any
+ * other closure does not compile -- capture a pointer to the state
+ * instead. Moves are a memcpy plus nulling the source, valid because
+ * the payload is trivially copyable.
  */
 class Callback
 {
@@ -82,66 +82,41 @@ class Callback
      * Inline capture budget. 32 bytes fits every closure the blocks
      * schedule today (block pointer + batch pointer + chunk is 24
      * bytes), and keeps a queue Entry (when + seq + callback) at
-     * exactly one 64-byte cache line. Larger or non-trivial callables
-     * still work through the heap fallback.
+     * exactly one 64-byte cache line.
      */
     static constexpr std::size_t kInlineBytes = 32;
 
+    /** Whether a closure of type @p D can be stored. */
+    template <typename D>
+    static constexpr bool kFitsInline =
+        sizeof(D) <= kInlineBytes &&
+        alignof(D) <= alignof(std::max_align_t) &&
+        std::is_trivially_copyable_v<D> &&
+        std::is_trivially_destructible_v<D>;
+
     Callback() = default;
 
-    template <typename Fn,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<Fn>, Callback>>>
+    template <typename Fn, typename D = std::decay_t<Fn>>
+        requires(!std::is_same_v<D, Callback> && kFitsInline<D>)
     Callback(Fn &&fn) // NOLINT: intentional implicit conversion
     {
-        using D = std::decay_t<Fn>;
-        if constexpr (sizeof(D) <= kInlineBytes &&
-                      alignof(D) <= alignof(std::max_align_t) &&
-                      std::is_trivially_copyable_v<D> &&
-                      std::is_trivially_destructible_v<D>) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<Fn>(fn));
-            invoke_ = [](void *p) { (*static_cast<D *>(p))(); };
-            destroy_ = nullptr;
-        } else {
-            // Heap fallback: payloads come from the callback arena's
-            // size-class freelists (common/arena.hh), so even oversized
-            // captures stop hitting malloc once the pool is warm.
-            void *mem =
-                common::callbackArenaAlloc(sizeof(D), alignof(D));
-            D *heap = ::new (mem) D(std::forward<Fn>(fn));
-            std::memcpy(buf_, &heap, sizeof(heap));
-            invoke_ = [](void *p) {
-                D *f;
-                std::memcpy(&f, p, sizeof(f));
-                (*f)();
-            };
-            destroy_ = [](void *p) {
-                D *f;
-                std::memcpy(&f, p, sizeof(f));
-                f->~D();
-                common::callbackArenaFree(f, sizeof(D), alignof(D));
-            };
-        }
+        ::new (static_cast<void *>(buf_)) D(std::forward<Fn>(fn));
+        invoke_ = [](void *p) { (*static_cast<D *>(p))(); };
     }
 
-    Callback(Callback &&other) noexcept
-        : invoke_(other.invoke_), destroy_(other.destroy_)
+    Callback(Callback &&other) noexcept : invoke_(other.invoke_)
     {
         std::memcpy(buf_, other.buf_, sizeof(buf_));
         other.invoke_ = nullptr;
-        other.destroy_ = nullptr;
     }
 
     Callback &
     operator=(Callback &&other) noexcept
     {
         if (this != &other) {
-            reset();
             invoke_ = other.invoke_;
-            destroy_ = other.destroy_;
             std::memcpy(buf_, other.buf_, sizeof(buf_));
             other.invoke_ = nullptr;
-            other.destroy_ = nullptr;
         }
         return *this;
     }
@@ -149,26 +124,27 @@ class Callback
     Callback(const Callback &) = delete;
     Callback &operator=(const Callback &) = delete;
 
-    ~Callback() { reset(); }
-
     explicit operator bool() const { return invoke_ != nullptr; }
-
-    /** True when the payload lives inline (no heap allocation). */
-    bool inlineStored() const { return invoke_ && !destroy_; }
 
     void operator()() { invoke_(buf_); }
 
   private:
-    void
-    reset()
+    /**
+     * Every other closure resolves here. Being private, it makes
+     * std::is_constructible report false, and using it fails with the
+     * static_assert below.
+     */
+    template <typename Fn, typename D = std::decay_t<Fn>>
+        requires(!std::is_same_v<D, Callback> && !kFitsInline<D>)
+    Callback(Fn &&)
     {
-        if (destroy_)
-            destroy_(buf_);
+        static_assert(kFitsInline<D>,
+                      "sim::Callback stores only trivially copyable "
+                      "closures of at most kInlineBytes: capture a "
+                      "pointer to the state");
     }
 
     void (*invoke_)(void *) = nullptr;
-    /** Non-null only for heap-allocated payloads. */
-    void (*destroy_)(void *) = nullptr;
     alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 
@@ -218,8 +194,6 @@ class EventQueue
         ff_limit_ = limit;
     }
 
-    bool fastForward() const { return ff_on_; }
-
     /** Dispatches inlined by fast-forward (subset of dispatched()). */
     std::uint64_t inlined() const { return inlined_; }
 
@@ -238,7 +212,7 @@ class EventQueue
         return ff_on_ && ff_depth_ < kMaxInlineDepth &&
                fifo_head_ >= fifo_.size() && when >= now_ &&
                when <= ff_limit_ &&
-               (heap_.empty() || heap_.front().when > when);
+               (heap_.empty() || heap_.top().when > when);
     }
 
     /**
@@ -280,9 +254,6 @@ class EventQueue
     /** Dispatch the earliest event. @return false when empty. */
     bool runOne();
 
-    /** Run until the queue drains or now() would exceed @p limit. */
-    void runUntil(Tick limit);
-
     bool
     empty() const
     {
@@ -305,7 +276,7 @@ class EventQueue
     std::size_t highWater() const { return high_water_; }
 
     /** Heap-vector reallocations since construction (reserve audit). */
-    std::uint64_t heapReallocations() const { return heap_reallocs_; }
+    std::uint64_t heapReallocations() const { return heap_.reallocations(); }
 
   private:
     struct Entry
@@ -343,13 +314,9 @@ class EventQueue
     }
 
     /**
-     * Future ticks: explicit binary heap (std::push_heap/std::pop_heap
-     * over a vector) rather than std::priority_queue: the vector
-     * exposes reserve() and lets dispatch move entries out instead of
-     * copy-under-const_cast. (when, seq) is a strict total order, so
-     * the dispatch sequence is the comparator's alone -- independent of
-     * internal heap shape -- and the golden identity digests are
-     * unaffected by this representation.
+     * Future ticks. (when, seq) is a strict total order, so the
+     * dispatch sequence is the comparator's alone -- independent of
+     * internal heap shape.
      *
      * Invariant: while a tick is open (tick_open_), the heap holds no
      * entry with when == now_ -- refillFifo() drained them all, and
@@ -357,7 +324,7 @@ class EventQueue
      * monotonic, FIFO append order equals seq order, so draining the
      * FIFO front-to-back IS (tick, seq) dispatch order.
      */
-    std::vector<Entry> heap_;
+    ReservedMinHeap<Entry, Later> heap_;
     /** The open tick's events, drained front-to-back without popping. */
     std::vector<Entry> fifo_;
     std::size_t fifo_head_ = 0;
@@ -366,7 +333,6 @@ class EventQueue
     std::uint64_t next_seq = 0;
     std::uint64_t dispatched_ = 0;
     std::size_t high_water_ = 0;
-    std::uint64_t heap_reallocs_ = 0;
 
     /**
      * Inline-dispatch recursion cap: each inlined event adds a handful

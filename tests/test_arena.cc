@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests of the common/arena.hh allocation primitives the simulator
- * hot path runs on: ObjectPool (construct-once batch storage), Ring
- * (the pending-arrivals queue), and the callback arena behind the event
- * kernel's heap-fallback callbacks.
+ * hot path runs on: ObjectPool (construct-once batch storage) and Ring
+ * (the pending-arrivals queue).
  *
  * Determinism matters more than speed here: reuse after reset() must
  * hand out objects in the exact order a fresh pool would, because batch
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <vector>
 
@@ -110,7 +108,6 @@ TEST(ObjectPool, HighWaterTracksPeakLiveCount)
     (void)pool.acquire();
     EXPECT_EQ(pool.highWater(), 3u); // peak, not current
     EXPECT_EQ(pool.live(), 1u);
-    EXPECT_GT(pool.bytesReserved(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -170,59 +167,6 @@ TEST(Ring, WrapsAcrossGrowth)
         ring.pop_front();
     }
     EXPECT_TRUE(ring.empty());
-}
-
-// ---------------------------------------------------------------------
-// Callback arena
-// ---------------------------------------------------------------------
-
-TEST(CallbackArena, ReusesFreedBlocks)
-{
-    auto before = common::callbackArenaStats();
-    void *a = common::callbackArenaAlloc(48, 8);
-    ASSERT_NE(a, nullptr);
-    std::memset(a, 0xab, 48);
-    common::callbackArenaFree(a, 48, 8);
-    // Same size class: the freed node comes straight back.
-    void *b = common::callbackArenaAlloc(40, 8);
-    EXPECT_EQ(b, a);
-    common::callbackArenaFree(b, 40, 8);
-    auto after = common::callbackArenaStats();
-    EXPECT_GE(after.allocs - before.allocs, 2u);
-    EXPECT_GE(after.reuses - before.reuses, 1u);
-}
-
-TEST(CallbackArena, AlignmentHonored)
-{
-    for (std::size_t align : {8u, 16u}) {
-        for (std::size_t size : {1u, 63u, 64u, 65u, 512u, 1024u}) {
-            void *p = common::callbackArenaAlloc(size, align);
-            ASSERT_NE(p, nullptr);
-            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
-                << "size " << size << " align " << align;
-            std::memset(p, 0x5a, size); // asan: fully addressable
-            common::callbackArenaFree(p, size, align);
-        }
-    }
-}
-
-TEST(CallbackArena, OversizeFallsBackToOperatorNew)
-{
-    auto before = common::callbackArenaStats();
-    void *p = common::callbackArenaAlloc(4096, 8);
-    ASSERT_NE(p, nullptr);
-    std::memset(p, 0x11, 4096);
-    common::callbackArenaFree(p, 4096, 8);
-    struct alignas(64) Wide
-    {
-        unsigned char bytes[64];
-    };
-    void *q = common::callbackArenaAlloc(sizeof(Wide), alignof(Wide));
-    ASSERT_NE(q, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 64, 0u);
-    common::callbackArenaFree(q, sizeof(Wide), alignof(Wide));
-    auto after = common::callbackArenaStats();
-    EXPECT_GE(after.fallbacks - before.fallbacks, 2u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 /**
  * @file
- * Property suite for the event-kernel hot path: the small-buffer
+ * Property suite for the event-kernel hot path: the inline-only
  * Callback, the batched same-tick dispatch FIFO, and the reserved
  * min-heap. These pin the (tick, insertion-order) contract the golden
  * identity digests stand on, under exactly the access patterns the
@@ -15,7 +15,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/min_heap.hh"
@@ -29,14 +31,13 @@ namespace sim
 namespace
 {
 
-// ---------------------------------------------------------------- SBO
+// ----------------------------------------------------------- Callback
 
 TEST(Callback, SmallTrivialCapturesStayInline)
 {
     int sink = 0;
     int *p = &sink;
     Callback cb([p] { *p = 42; });
-    EXPECT_TRUE(cb.inlineStored());
     cb();
     EXPECT_EQ(sink, 42);
 }
@@ -54,38 +55,24 @@ TEST(Callback, CaptureAtTheInlineLimitStaysInline)
     } fat{&sink, 1, 2, 3};
     static_assert(sizeof(Fat) == 32, "limit probe must be 32 bytes");
     Callback cb([fat] { *fat.out = fat.a + fat.b + fat.c; });
-    EXPECT_TRUE(cb.inlineStored());
     cb();
     EXPECT_EQ(sink, 6u);
 }
 
-TEST(Callback, OversizedCapturesFallBackToHeapAndStillRun)
+TEST(Callback, OversizedOrNonTrivialCapturesDoNotCompile)
 {
+    // Callback is inline-only: a capture past kInlineBytes, or one that
+    // is not trivially copyable, is rejected at compile time.
     std::uint64_t sink = 0;
-    std::array<std::uint64_t, 8> big{1, 2, 3, 4, 5, 6, 7, 8};
-    Callback cb([&sink, big] {
+    std::array<std::uint64_t, 8> big{};
+    auto oversized = [&sink, big] {
         for (auto v : big)
             sink += v;
-    });
-    EXPECT_FALSE(cb.inlineStored());
-    cb();
-    EXPECT_EQ(sink, 36u);
-}
-
-TEST(Callback, NonTrivialCapturesFallBackToHeap)
-{
-    // A std::vector capture is small but not trivially copyable, so it
-    // must take the owning heap path and destroy exactly once.
+    };
+    static_assert(!std::is_constructible_v<Callback, decltype(oversized)>);
     auto counter = std::make_shared<int>(0);
-    {
-        Callback cb([counter] { ++*counter; });
-        EXPECT_FALSE(cb.inlineStored());
-        cb();
-        Callback moved = std::move(cb);
-        moved();
-    }
-    EXPECT_EQ(*counter, 2);
-    EXPECT_EQ(counter.use_count(), 1);
+    auto shared = [counter] { ++*counter; };
+    static_assert(!std::is_constructible_v<Callback, decltype(shared)>);
 }
 
 TEST(Callback, MoveTransfersTheInlineBuffer)

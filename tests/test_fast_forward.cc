@@ -137,9 +137,9 @@ TEST(FastForwardQueue, DepthCapFallsBackToHeap)
         EXPECT_GE(q.now(), last);
         last = q.now();
         if (++fired < 300)
-            q.scheduleFastIn(1, chain);
+            q.scheduleFastIn(1, [&chain] { chain(); });
     };
-    q.schedule(1, chain);
+    q.schedule(1, [&chain] { chain(); });
     while (q.runOne()) {
     }
     EXPECT_EQ(fired, 300);
