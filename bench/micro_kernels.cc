@@ -69,9 +69,11 @@ BM_GemmShape(benchmark::State &state, arith::Encoding enc)
 }
 
 /**
- * Figure 2(a) at batch 64 with hidden layers {96, 48} over 24 features:
- * the two hidden-layer forwards, a weight gradient, an input gradient,
- * and the 1024-sample validation forward.
+ * Figure 2(a) at batch 64 with hidden layers {96, 48} over 24 features
+ * and 8 classes: the two hidden-layer forwards, a weight gradient, an
+ * input gradient, the 1024-sample validation forward, and the output
+ * layer's forward and input gradient, whose 8-wide side leaves per-call
+ * overhead (quantization, the epilogue) the largest share.
  */
 void
 trainingShapes(benchmark::internal::Benchmark *b)
@@ -82,6 +84,8 @@ trainingShapes(benchmark::internal::Benchmark *b)
     b->Args({96, 64, 48});
     b->Args({64, 48, 96});
     b->Args({1024, 24, 96});
+    b->Args({64, 48, 8});
+    b->Args({64, 8, 48});
 }
 
 void

@@ -18,6 +18,34 @@ hbfp8Format()
 }
 
 std::int32_t
+bfpSharedExponent(float max_abs, const BfpFormat &fmt)
+{
+    if (max_abs == 0.0f)
+        return fmt.exponentMin();
+    if (!std::isfinite(max_abs))
+        return fmt.exponentMax();
+
+    // Smallest e with max_abs < 2^e, so that all scaled mantissas land in
+    // (-1, 1). Rounding can still push the largest mantissa to
+    // 2^(mbits-1); bump the exponent once in that case so the
+    // round-to-nearest half-step error bound holds for every element.
+    // log2 of a finite nonzero float lies in [-149, 128], so the cast
+    // plus the fix-up for negative non-integers is std::floor, and every
+    // power of two below is a normal double.
+    const float l = std::log2(max_abs);
+    int e = static_cast<int>(l);
+    if (static_cast<float>(e) > l)
+        --e;
+    ++e;
+    const double ratio = static_cast<double>(max_abs) * exactPow2(-e);
+    if (roundHalfEven(ratio * exactPow2(fmt.mantissa_bits - 1)) >
+        fmt.mantissaMax()) {
+        ++e;
+    }
+    return std::clamp<int>(e, fmt.exponentMin(), fmt.exponentMax());
+}
+
+std::int32_t
 bfpQuantizeStrip(const float *in, std::size_t stride, std::size_t len,
                  const BfpFormat &fmt, std::int16_t *out)
 {
@@ -30,48 +58,30 @@ bfpQuantizeStrip(const float *in, std::size_t stride, std::size_t len,
     for (std::size_t i = 0; i < len; ++i)
         max_abs = std::max(max_abs, std::abs(in[i * stride]));
 
+    const std::int32_t e = bfpSharedExponent(max_abs, fmt);
     if (max_abs == 0.0f) {
         for (std::size_t i = 0; i < len; ++i)
             out[i * stride] = 0;
-        return fmt.exponentMin();
+        return e;
     }
-
-    // Shared exponent: smallest e with max_abs < 2^e, so that all scaled
-    // mantissas land in (-1, 1). Rounding can still push the largest
-    // mantissa to 2^(mbits-1); bump the exponent once in that case so the
-    // round-to-nearest half-step error bound holds for every element. An
-    // infinite maximum saturates the exponent instead.
+    const double scale = bfpMantissaScale(e, fmt);
     const double mmax = fmt.mantissaMax();
-    int e = fmt.exponentMax();
-    if (std::isfinite(max_abs)) {
-        e = static_cast<int>(std::floor(std::log2(max_abs))) + 1;
-        double ratio = static_cast<double>(max_abs) * std::ldexp(1.0, -e);
-        if (std::nearbyint(ratio * std::ldexp(1.0, fmt.mantissa_bits - 1)) >
-            mmax) {
-            ++e;
-        }
-        e = std::clamp<int>(e, fmt.exponentMin(), fmt.exponentMax());
-    }
-
-    // Adding and subtracting 1.5 * 2^52 rounds any |x| < 2^51 to an
-    // integer, ties to even, exactly as std::nearbyint does in the default
-    // rounding mode; a larger |x| stays larger than mmax either way. So the
-    // clamp below equals clamping nearbyint(x), and it keeps the integer
-    // cast in range.
-    constexpr double kRoundHalfEven = 0x1.8p52;
-    const double scale =
-        std::ldexp(1.0, -(e - static_cast<int>(fmt.mantissa_bits - 1)));
-    for (std::size_t i = 0; i < len; ++i) {
-        const float v = in[i * stride];
-        double x = static_cast<double>(v) * scale;
-        if (!std::isfinite(x)) {
-            // v is inf or NaN (an inf times a saturated, zero scale is NaN).
-            x = std::isnan(v) ? 0.0 : std::copysign(mmax, v);
-        }
-        const double q = (x + kRoundHalfEven) - kRoundHalfEven;
-        out[i * stride] = static_cast<std::int16_t>(std::clamp(q, -mmax, mmax));
-    }
+    for (std::size_t i = 0; i < len; ++i)
+        out[i * stride] = bfpQuantizeValue(in[i * stride], scale, mmax);
     return e;
+}
+
+bool
+bfpDotCannotClip(const BfpFormat &fmt, std::size_t len)
+{
+    const std::int64_t acc_max =
+        (std::int64_t{1} << (fmt.accumulator_bits - 1)) - 1;
+    const std::int64_t mmax = fmt.mantissaMax();
+    const std::int64_t limit = std::min<std::int64_t>(
+        acc_max, std::numeric_limits<std::int32_t>::max());
+    // len <= limit < 2^31 first, so len * mmax^2 < 2^59 cannot overflow.
+    return len <= static_cast<std::size_t>(limit) &&
+           static_cast<std::int64_t>(len) * mmax * mmax <= limit;
 }
 
 void
@@ -81,17 +91,7 @@ bfpDotTile(const std::int16_t *a, const std::int16_t *b, std::size_t ldb,
 {
     EQX_ASSERT(cols <= kBfpDotTile, "BFP dot tile too wide: ", cols);
 
-    const std::int64_t acc_max =
-        (std::int64_t{1} << (fmt.accumulator_bits - 1)) - 1;
-    const std::int64_t acc_min = -acc_max - 1;
-    const std::int64_t mmax = fmt.mantissaMax();
-    const std::int64_t limit = std::min<std::int64_t>(
-        acc_max, std::numeric_limits<std::int32_t>::max());
-
-    // len <= limit < 2^31 first, so len * mmax^2 < 2^59 cannot overflow.
-    const auto slen = static_cast<std::int64_t>(len);
-    if (len <= static_cast<std::size_t>(limit) &&
-        slen * mmax * mmax <= limit) {
+    if (bfpDotCannotClip(fmt, len)) {
         // Every prefix sum is at most len * mmax^2 <= limit in magnitude:
         // the register never clips and int32 never overflows.
         std::int32_t sum[kBfpDotTile] = {};
@@ -112,6 +112,9 @@ bfpDotTile(const std::int16_t *a, const std::int16_t *b, std::size_t ldb,
     }
 
     // The register can clip: saturate after every product, in order.
+    const std::int64_t acc_max =
+        (std::int64_t{1} << (fmt.accumulator_bits - 1)) - 1;
+    const std::int64_t acc_min = -acc_max - 1;
     for (std::size_t c = 0; c < cols; ++c) {
         std::int64_t s = 0;
         for (std::size_t p = 0; p < len; ++p) {

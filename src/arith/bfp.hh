@@ -11,6 +11,7 @@
 #ifndef EQUINOX_ARITH_BFP_HH
 #define EQUINOX_ARITH_BFP_HH
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -71,8 +72,70 @@ std::int32_t bfpQuantizeStrip(const float *in, std::size_t stride,
                               std::size_t len, const BfpFormat &fmt,
                               std::int16_t *out);
 
+/**
+ * Shared exponent of a block whose largest finite magnitude is @p max_abs
+ * (NaNs never pick it): fmt.exponentMin() for 0, fmt.exponentMax() for
+ * inf, else the smallest e with every mantissa in range. bfpQuantizeStrip
+ * and the GEMM's panel quantizers all take it from here.
+ */
+std::int32_t bfpSharedExponent(float max_abs, const BfpFormat &fmt);
+
+/** std::ldexp(1.0, n), built from its bits where 2^n is a normal double. */
+inline double
+exactPow2(int n)
+{
+    if (n >= -1022 && n <= 1023)
+        return std::bit_cast<double>(static_cast<std::uint64_t>(n + 1023)
+                                     << 52);
+    return std::ldexp(1.0, n);
+}
+
+/**
+ * std::nearbyint(x) in the default rounding mode, for |x| < 2^51: adding
+ * and subtracting 1.5 * 2^52 rounds x to an integer, ties to even.
+ */
+inline double
+roundHalfEven(double x)
+{
+    constexpr double kRoundHalfEven = 0x1.8p52;
+    return (x + kRoundHalfEven) - kRoundHalfEven;
+}
+
+/** The factor that scales a value of a block with exponent @p e to its
+ *  mantissa: 2^-(e - (mantissa_bits - 1)), zero when that underflows. */
+inline double
+bfpMantissaScale(std::int32_t e, const BfpFormat &fmt)
+{
+    return exactPow2(-(e - static_cast<int>(fmt.mantissa_bits - 1)));
+}
+
+/**
+ * Round v * scale to a mantissa in [-mmax, mmax], ties to even. A
+ * non-finite product (v inf or NaN, or inf times a zero scale) maps to
+ * +-mmax for +-inf and to 0 for NaN.
+ */
+inline std::int16_t
+bfpQuantizeValue(float v, double scale, double mmax)
+{
+    double x = static_cast<double>(v) * scale;
+    if (!std::isfinite(x))
+        x = std::isnan(v) ? 0.0 : std::copysign(mmax, v);
+    // roundHalfEven leaves a larger |x| than 2^51 larger than mmax, so the
+    // clamp equals clamping nearbyint(x), and it keeps the integer cast in
+    // range.
+    return static_cast<std::int16_t>(
+        std::clamp(roundHalfEven(x), -mmax, mmax));
+}
+
 /** Output columns one bfpDotTile call produces at most. */
 inline constexpr std::size_t kBfpDotTile = 8;
+
+/**
+ * Whether a @p len long mantissa dot under @p fmt can never clip: when
+ * len * mantissaMax()^2 fits the register and int32, no prefix sum (nor
+ * any partial sum of its products) can reach either limit.
+ */
+bool bfpDotCannotClip(const BfpFormat &fmt, std::size_t len);
 
 /**
  * Integer dot products of one mantissa strip @p a (contiguous, @p len
@@ -81,9 +144,8 @@ inline constexpr std::size_t kBfpDotTile = 8;
  * does: each product added in order into a saturating register of
  * fmt.accumulator_bits. Writes the register values to acc[0 .. cols).
  *
- * When len * mantissaMax()^2 fits the register (and int32), no prefix
- * sum can clip, so the kernel accumulates in int32 without clamping;
- * otherwise it clamps after every step.
+ * When bfpDotCannotClip(fmt, len), the kernel accumulates in int32
+ * without clamping; otherwise it clamps after every step.
  */
 void bfpDotTile(const std::int16_t *a, const std::int16_t *b,
                 std::size_t ldb, std::size_t len, std::size_t cols,

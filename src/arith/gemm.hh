@@ -34,6 +34,25 @@ enum class Encoding
 /** Printable name ("fp32", "bfloat16", "hbfp8"). */
 const char *encodingName(Encoding e);
 
+/**
+ * The instruction-set builds of the GEMM kernels. Both compile from one
+ * source and compute the same bits; they differ only in speed.
+ */
+enum class KernelBuild
+{
+    Baseline,  //!< the compiler's default x86-64 ISA: runs on every host
+    X86_64_V3, //!< x86-64-v3 (AVX2, FMA, BMI2)
+};
+
+/** Whether this host's CPU can run @p build. */
+bool kernelBuildSupported(KernelBuild build);
+
+/**
+ * The build every engine's multiply() runs: X86_64_V3 when the CPU
+ * supports it, else Baseline. Picked once, on the first call.
+ */
+KernelBuild activeKernelBuild();
+
 /** Abstract matrix-multiply engine. */
 class GemmEngine
 {
@@ -63,6 +82,10 @@ class Fp32Gemm : public GemmEngine
     void multiply(const Matrix &a, const Matrix &b, Matrix &c,
                   bool accumulate) const override;
     Encoding encoding() const override { return Encoding::Fp32; }
+
+    /** multiply() on kernel build @p build, which the CPU must support. */
+    void multiplyWith(KernelBuild build, const Matrix &a, const Matrix &b,
+                      Matrix &c, bool accumulate) const;
 };
 
 /**
@@ -76,6 +99,10 @@ class Bf16Gemm : public GemmEngine
     void multiply(const Matrix &a, const Matrix &b, Matrix &c,
                   bool accumulate) const override;
     Encoding encoding() const override { return Encoding::Bfloat16; }
+
+    /** multiply() on kernel build @p build, which the CPU must support. */
+    void multiplyWith(KernelBuild build, const Matrix &a, const Matrix &b,
+                      Matrix &c, bool accumulate) const;
 };
 
 /**
@@ -98,6 +125,10 @@ class HbfpGemm : public GemmEngine
     void multiply(const Matrix &a, const Matrix &b, Matrix &c,
                   bool accumulate) const override;
     Encoding encoding() const override { return Encoding::Hbfp8; }
+
+    /** multiply() on kernel build @p build, which the CPU must support. */
+    void multiplyWith(KernelBuild build, const Matrix &a, const Matrix &b,
+                      Matrix &c, bool accumulate) const;
 
     const BfpFormat &format() const { return fmt; }
     std::size_t blockLength() const { return block_len_; }

@@ -11,16 +11,13 @@ namespace equinox
 namespace nn
 {
 
-namespace
-{
-
-/** Deterministic per-epoch permutation of [0, n). */
 std::vector<std::size_t>
-epochPermutation(std::size_t n, std::size_t epoch, std::uint64_t seed)
+Dataset::epochOrder(std::size_t epoch) const
 {
+    const std::size_t n = trainSize();
     std::vector<std::size_t> perm(n);
     std::iota(perm.begin(), perm.end(), std::size_t{0});
-    Rng rng(seed ^ (0x9E3779B97F4A7C15ull * (epoch + 1)));
+    Rng rng(shuffle_seed_ ^ (0x9E3779B97F4A7C15ull * (epoch + 1)));
     for (std::size_t i = n; i > 1; --i) {
         std::size_t j = rng.uniformInt(0, i - 1);
         std::swap(perm[i - 1], perm[j]);
@@ -28,34 +25,40 @@ epochPermutation(std::size_t n, std::size_t epoch, std::uint64_t seed)
     return perm;
 }
 
-/** Gather a minibatch from a full split via a permutation window. */
 Batch
-gatherBatch(const Batch &full, const std::vector<std::size_t> &perm,
-            std::size_t index, std::size_t batch_size)
+Dataset::gatherBatch(const std::vector<std::size_t> &order,
+                     std::size_t index, std::size_t batch_size) const
 {
-    std::size_t n = full.labels.size();
+    const std::size_t n = trainSize();
+    EQX_ASSERT(order.size() == n, "epoch order covers ", order.size(),
+               " of ", n, " examples");
     std::size_t lo = index * batch_size;
     EQX_ASSERT(lo < n, "batch index ", index, " beyond dataset");
     std::size_t hi = std::min(lo + batch_size, n);
 
     Batch out;
-    out.inputs = Matrix(hi - lo, full.inputs.cols());
+    out.inputs = Matrix(hi - lo, train.inputs.cols());
     out.labels.resize(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) {
-        std::size_t src = perm[i];
-        for (std::size_t c = 0; c < full.inputs.cols(); ++c)
-            out.inputs.at(i - lo, c) = full.inputs.at(src, c);
-        out.labels[i - lo] = full.labels[src];
+        std::size_t src = order[i];
+        for (std::size_t c = 0; c < train.inputs.cols(); ++c)
+            out.inputs.at(i - lo, c) = train.inputs.at(src, c);
+        out.labels[i - lo] = train.labels[src];
     }
     return out;
 }
 
-} // namespace
+Batch
+Dataset::trainBatch(std::size_t epoch, std::size_t index,
+                    std::size_t batch_size) const
+{
+    return gatherBatch(epochOrder(epoch), index, batch_size);
+}
 
 ClusterDataset::ClusterDataset(std::size_t classes, std::size_t dim,
                                std::size_t train_n, std::size_t valid_n,
                                double noise, std::uint64_t seed)
-    : classes_(classes), dim_(dim)
+    : Dataset(0xC105ul), classes_(classes), dim_(dim)
 {
     EQX_ASSERT(classes >= 2 && dim >= 2, "degenerate cluster dataset");
     Rng rng(seed);
@@ -71,6 +74,7 @@ ClusterDataset::ClusterDataset(std::size_t classes, std::size_t dim,
     Matrix bend(dim, dim);
     bend.randomize(rng, 0.6 / std::sqrt(static_cast<double>(dim)));
 
+    std::vector<double> z(latent), x(dim), th(dim);
     auto sample_split = [&](std::size_t n, Batch &out) {
         out.inputs = Matrix(n, dim);
         out.labels.resize(n);
@@ -78,19 +82,20 @@ ClusterDataset::ClusterDataset(std::size_t classes, std::size_t dim,
             auto cls = static_cast<std::uint32_t>(
                 rng.uniformInt(0, classes - 1));
             out.labels[i] = cls;
-            std::vector<double> z(latent);
             for (std::size_t l = 0; l < latent; ++l)
                 z[l] = centroids.at(cls, l) + rng.normal(0.0, noise);
             // Linear projection ...
-            std::vector<double> x(dim, 0.0);
+            std::fill(x.begin(), x.end(), 0.0);
             for (std::size_t d = 0; d < dim; ++d)
                 for (std::size_t l = 0; l < latent; ++l)
                     x[d] += z[l] * projection.at(l, d);
             // ... then a fixed quadratic bend and observation noise.
+            for (std::size_t e = 0; e < dim; ++e)
+                th[e] = std::tanh(x[e]);
             for (std::size_t d = 0; d < dim; ++d) {
                 double bent = x[d];
                 for (std::size_t e = 0; e < dim; ++e)
-                    bent += bend.at(d, e) * x[e] * std::tanh(x[e]);
+                    bent += bend.at(d, e) * x[e] * th[e];
                 out.inputs.at(i, d) = static_cast<float>(
                     bent + rng.normal(0.0, noise * 0.5));
             }
@@ -101,20 +106,12 @@ ClusterDataset::ClusterDataset(std::size_t classes, std::size_t dim,
     sample_split(valid_n, valid);
 }
 
-Batch
-ClusterDataset::trainBatch(std::size_t epoch, std::size_t index,
-                           std::size_t batch_size) const
-{
-    auto perm = epochPermutation(train.labels.size(), epoch, 0xC105ul);
-    return gatherBatch(train, perm, index, batch_size);
-}
-
 MarkovTextDataset::MarkovTextDataset(std::size_t vocab, std::size_t context,
                                      std::size_t train_n,
                                      std::size_t valid_n,
                                      double concentration,
                                      std::uint64_t seed)
-    : vocab_(vocab), context_(context)
+    : Dataset(0x7E47ul), vocab_(vocab), context_(context)
 {
     EQX_ASSERT(vocab >= 2 && context >= 1, "degenerate text dataset");
     Rng rng(seed);
@@ -195,14 +192,6 @@ MarkovTextDataset::MarkovTextDataset(std::size_t vocab, std::size_t context,
     sample_split(valid_n, valid);
 }
 
-Batch
-MarkovTextDataset::trainBatch(std::size_t epoch, std::size_t index,
-                              std::size_t batch_size) const
-{
-    auto perm = epochPermutation(train.labels.size(), epoch, 0x7E47ul);
-    return gatherBatch(train, perm, index, batch_size);
-}
-
 ChainSequenceDataset::ChainSequenceDataset(std::size_t chains,
                                            std::size_t vocab,
                                            std::size_t steps,
@@ -210,7 +199,7 @@ ChainSequenceDataset::ChainSequenceDataset(std::size_t chains,
                                            std::size_t valid_n,
                                            double concentration,
                                            std::uint64_t seed)
-    : chains_(chains), vocab_(vocab), steps_(steps)
+    : Dataset(0x5EC5ul), chains_(chains), vocab_(vocab), steps_(steps)
 {
     EQX_ASSERT(chains >= 2 && vocab >= 2 && steps >= 2,
                "degenerate sequence dataset");
@@ -261,14 +250,6 @@ ChainSequenceDataset::ChainSequenceDataset(std::size_t chains,
 
     sample_split(train_n, train);
     sample_split(valid_n, valid);
-}
-
-Batch
-ChainSequenceDataset::trainBatch(std::size_t epoch, std::size_t index,
-                                 std::size_t batch_size) const
-{
-    auto perm = epochPermutation(train.labels.size(), epoch, 0x5EC5ul);
-    return gatherBatch(train, perm, index, batch_size);
 }
 
 } // namespace nn

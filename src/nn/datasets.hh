@@ -48,14 +48,39 @@ class Dataset
 
     virtual std::size_t featureDim() const = 0;
     virtual std::size_t classCount() const = 0;
-    virtual std::size_t trainSize() const = 0;
 
-    /** The i-th minibatch of the epoch under a fixed shuffle per epoch. */
-    virtual Batch trainBatch(std::size_t epoch, std::size_t index,
-                             std::size_t batch_size) const = 0;
+    std::size_t trainSize() const { return train.labels.size(); }
+
+    /**
+     * The fixed shuffle of epoch @p epoch: the order in which the epoch
+     * visits the training examples, batch after batch. A training loop
+     * computes it once per epoch and gathers every batch from it.
+     */
+    std::vector<std::size_t> epochOrder(std::size_t epoch) const;
+
+    /** Minibatch @p index of an epoch visited in @p order (epochOrder()). */
+    Batch gatherBatch(const std::vector<std::size_t> &order,
+                      std::size_t index, std::size_t batch_size) const;
+
+    /** The i-th minibatch of the epoch: gatherBatch(epochOrder(epoch), ..). */
+    Batch trainBatch(std::size_t epoch, std::size_t index,
+                     std::size_t batch_size) const;
 
     /** The whole validation split. */
-    virtual const Batch &validation() const = 0;
+    const Batch &validation() const { return valid; }
+
+  protected:
+    /** @param shuffle_seed seeds every epoch's shuffle */
+    explicit Dataset(std::uint64_t shuffle_seed)
+        : shuffle_seed_(shuffle_seed)
+    {
+    }
+
+    Batch train;
+    Batch valid;
+
+  private:
+    std::uint64_t shuffle_seed_;
 };
 
 /** Nonlinearly separable Gaussian-mixture classification. */
@@ -76,17 +101,10 @@ class ClusterDataset : public Dataset
 
     std::size_t featureDim() const override { return dim_; }
     std::size_t classCount() const override { return classes_; }
-    std::size_t trainSize() const override { return train.labels.size(); }
-
-    Batch trainBatch(std::size_t epoch, std::size_t index,
-                     std::size_t batch_size) const override;
-    const Batch &validation() const override { return valid; }
 
   private:
     std::size_t classes_;
     std::size_t dim_;
-    Batch train;
-    Batch valid;
 };
 
 /** Next-token prediction over a random Markov chain. */
@@ -108,11 +126,6 @@ class MarkovTextDataset : public Dataset
 
     std::size_t featureDim() const override { return vocab_ * context_; }
     std::size_t classCount() const override { return vocab_; }
-    std::size_t trainSize() const override { return train.labels.size(); }
-
-    Batch trainBatch(std::size_t epoch, std::size_t index,
-                     std::size_t batch_size) const override;
-    const Batch &validation() const override { return valid; }
 
     /** Entropy floor of the generating chain (nats/token). */
     double sourceEntropy() const { return entropy; }
@@ -120,8 +133,6 @@ class MarkovTextDataset : public Dataset
   private:
     std::size_t vocab_;
     std::size_t context_;
-    Batch train;
-    Batch valid;
     double entropy = 0.0;
 };
 
@@ -149,11 +160,6 @@ class ChainSequenceDataset : public Dataset
 
     std::size_t featureDim() const override { return vocab_ * steps_; }
     std::size_t classCount() const override { return chains_; }
-    std::size_t trainSize() const override { return train.labels.size(); }
-
-    Batch trainBatch(std::size_t epoch, std::size_t index,
-                     std::size_t batch_size) const override;
-    const Batch &validation() const override { return valid; }
 
     std::size_t vocab() const { return vocab_; }
     std::size_t steps() const { return steps_; }
@@ -162,8 +168,6 @@ class ChainSequenceDataset : public Dataset
     std::size_t chains_;
     std::size_t vocab_;
     std::size_t steps_;
-    Batch train;
-    Batch valid;
 };
 
 } // namespace nn

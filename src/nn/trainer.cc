@@ -31,8 +31,9 @@ trainClassifier(const Dataset &data, const arith::GemmEngine &engine,
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
         double lr = config.sgd.rateForEpoch(epoch);
         double loss_sum = 0.0;
+        const std::vector<std::size_t> order = data.epochOrder(epoch);
         for (std::size_t b = 0; b < batches; ++b) {
-            Batch batch = data.trainBatch(epoch, b, config.batch_size);
+            Batch batch = data.gatherBatch(order, b, config.batch_size);
             Matrix logits = net.forward(batch.inputs);
             auto loss = softmaxCrossEntropy(logits, batch.labels);
             loss_sum += loss.mean_loss;
@@ -75,8 +76,9 @@ trainSequenceClassifier(const ChainSequenceDataset &data,
     for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
         double lr = config.sgd.rateForEpoch(epoch);
         double loss_sum = 0.0;
+        const std::vector<std::size_t> order = data.epochOrder(epoch);
         for (std::size_t b = 0; b < batches; ++b) {
-            Batch batch = data.trainBatch(epoch, b, config.batch_size);
+            Batch batch = data.gatherBatch(order, b, config.batch_size);
             Matrix logits = net.forward(batch.inputs, data.steps(),
                                         engine);
             auto loss = softmaxCrossEntropy(logits, batch.labels);

@@ -88,7 +88,12 @@ TEST(Fp32Gemm, IdentityIsNeutral)
  *  encoding-dependent error bound. */
 struct EngineErrorCase
 {
+    EngineErrorCase(Encoding e, double tol) : encoding(e), tolerance(tol) {}
+
     Encoding encoding;
+    // gtest prints every byte of the parameter into the test's name; an
+    // explicit zero where padding would sit keeps that name stable.
+    std::int32_t zero = 0;
     // Permitted max-abs error per unit operand norm for K=64 operands.
     double tolerance;
 };
@@ -352,17 +357,25 @@ hbfp(const Matrix &a, const Matrix &b, Matrix &c, bool accumulate,
 
 } // namespace naive
 
+/**
+ * Every element of @p got equals @p want bit for bit; with @p any_nan, a
+ * NaN matches any NaN.
+ */
 void
-expectBitEqual(const Matrix &want, const Matrix &got, const std::string &ctx)
+expectBitEqual(const Matrix &want, const Matrix &got, const std::string &ctx,
+               bool any_nan = false)
 {
     ASSERT_EQ(want.size(), got.size()) << ctx;
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < want.size(); ++i) {
-        if (std::bit_cast<std::uint32_t>(want.data()[i]) !=
-            std::bit_cast<std::uint32_t>(got.data()[i])) {
+        const float w = want.data()[i], g = got.data()[i];
+        if (any_nan && std::isnan(w) && std::isnan(g))
+            continue;
+        if (std::bit_cast<std::uint32_t>(w) !=
+            std::bit_cast<std::uint32_t>(g)) {
             if (++mismatches <= 3) {
-                ADD_FAILURE() << ctx << " element " << i << ": want "
-                              << want.data()[i] << " got " << got.data()[i];
+                ADD_FAILURE() << ctx << " element " << i << ": want " << w
+                              << " got " << g;
             }
         }
     }
@@ -429,7 +442,33 @@ fuzzCases(Rng &rng, std::size_t block_len, int count)
     return cases;
 }
 
-TEST(GemmDifferential, Fp32AndBf16MatchNaiveLoopsBitwise)
+/**
+ * Replace about one element in 24 of @p m by +inf or -inf, and with
+ * @p nan also by NaN, as a diverging run would feed the engines.
+ */
+void
+sprinkleNonFinite(Matrix &m, Rng &rng, bool nan)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float values[] = {kInf, -kInf,
+                            std::numeric_limits<float>::quiet_NaN()};
+    for (std::size_t i = 0; i < m.size(); ++i) {
+        if (rng.uniformInt(0, 23) == 0)
+            m.data()[i] = values[rng.uniformInt(0, nan ? 2 : 1)];
+    }
+}
+
+/**
+ * The fp32 and bfloat16 engines on @p build against the naive loops, bit
+ * for bit, over the finite fuzz and over the fuzz with +-inf operands:
+ * every NaN there is an invalid operation's default NaN. With @p other
+ * set, also against build @p other over the fuzz with NaN operands. An
+ * add of two NaNs returns one of them and the compiler may commute the
+ * add (it does at -O0), so there the contract is NaN for NaN, not the
+ * payload or sign.
+ */
+void
+fuzzFloatEngines(KernelBuild build, const KernelBuild *other)
 {
     Rng rng(2024);
     Fp32Gemm fp32;
@@ -445,15 +484,69 @@ TEST(GemmDifferential, Fp32AndBf16MatchNaiveLoopsBitwise)
 
         Matrix want = c0, got = c0;
         naive::fp32(a, b, want, dc.accumulate);
-        fp32.multiply(a, b, got, dc.accumulate);
+        fp32.multiplyWith(build, a, b, got, dc.accumulate);
         expectBitEqual(want, got, describe("fp32", dc));
 
         want = c0;
         got = c0;
         naive::bf16(a, b, want, dc.accumulate);
-        bf16.multiply(a, b, got, dc.accumulate);
+        bf16.multiplyWith(build, a, b, got, dc.accumulate);
         expectBitEqual(want, got, describe("bfloat16", dc));
+
+        sprinkleNonFinite(a, rng, false);
+        sprinkleNonFinite(b, rng, false);
+        sprinkleNonFinite(c0, rng, false);
+        want = c0;
+        got = c0;
+        naive::fp32(a, b, want, dc.accumulate);
+        fp32.multiplyWith(build, a, b, got, dc.accumulate);
+        expectBitEqual(want, got, describe("fp32", dc) + " inf");
+
+        want = c0;
+        got = c0;
+        naive::bf16(a, b, want, dc.accumulate);
+        bf16.multiplyWith(build, a, b, got, dc.accumulate);
+        expectBitEqual(want, got, describe("bfloat16", dc) + " inf");
+
+        if (!other)
+            continue;
+        sprinkleNonFinite(a, rng, true);
+        sprinkleNonFinite(b, rng, true);
+        sprinkleNonFinite(c0, rng, true);
+        want = c0;
+        got = c0;
+        fp32.multiplyWith(*other, a, b, want, dc.accumulate);
+        fp32.multiplyWith(build, a, b, got, dc.accumulate);
+        expectBitEqual(want, got, describe("fp32", dc) + " NaN", true);
+
+        want = c0;
+        got = c0;
+        bf16.multiplyWith(*other, a, b, want, dc.accumulate);
+        bf16.multiplyWith(build, a, b, got, dc.accumulate);
+        expectBitEqual(want, got, describe("bfloat16", dc) + " NaN", true);
     }
+}
+
+TEST(KernelBuilds, ActiveBuildIsTheWidestSupported)
+{
+    EXPECT_TRUE(kernelBuildSupported(KernelBuild::Baseline));
+    EXPECT_EQ(activeKernelBuild(),
+              kernelBuildSupported(KernelBuild::X86_64_V3)
+                  ? KernelBuild::X86_64_V3
+                  : KernelBuild::Baseline);
+}
+
+TEST(GemmDifferential, Fp32AndBf16MatchNaiveLoopsBitwise)
+{
+    fuzzFloatEngines(KernelBuild::Baseline, nullptr);
+}
+
+TEST(GemmDifferential, Fp32AndBf16X86V3BuildMatchesBitwise)
+{
+    if (!kernelBuildSupported(KernelBuild::X86_64_V3))
+        GTEST_SKIP() << "this CPU lacks x86-64-v3 (AVX2 + FMA)";
+    const KernelBuild baseline = KernelBuild::Baseline;
+    fuzzFloatEngines(KernelBuild::X86_64_V3, &baseline);
 }
 
 struct HbfpDiffParam
@@ -473,9 +566,17 @@ class HbfpDifferential : public ::testing::TestWithParam<HbfpDiffParam>
 {
 };
 
-TEST_P(HbfpDifferential, MatchesNaiveBlockLoopBitwise)
+/**
+ * HbfpGemm on @p build against the naive block loop over the finite
+ * fuzz; with @p other set, also against build @p other, bit for bit,
+ * over the fuzz with inf/NaN operands, which the naive quantizer does
+ * not define. Quantization maps a NaN operand to 0 and no block partial
+ * is NaN, so an output's NaN can only be C's own or an inf - inf.
+ */
+void
+fuzzHbfp(const HbfpDiffParam &param, KernelBuild build,
+         const KernelBuild *other)
 {
-    const auto &param = GetParam();
     HbfpGemm engine(param.fmt, param.block_len);
     Rng rng(7000 + param.block_len + param.fmt.accumulator_bits);
     auto cases = fuzzCases(rng, param.block_len, 24);
@@ -487,9 +588,33 @@ TEST_P(HbfpDifferential, MatchesNaiveBlockLoopBitwise)
         Matrix c0 = fuzzOperand(dc.m, dc.n, rng);
         Matrix want = c0, got = c0;
         naive::hbfp(a, b, want, dc.accumulate, param.fmt, param.block_len);
-        engine.multiply(a, b, got, dc.accumulate);
+        engine.multiplyWith(build, a, b, got, dc.accumulate);
         expectBitEqual(want, got, describe(param.name, dc));
+
+        if (!other)
+            continue;
+        sprinkleNonFinite(a, rng, true);
+        sprinkleNonFinite(b, rng, true);
+        sprinkleNonFinite(c0, rng, true);
+        want = c0;
+        got = c0;
+        engine.multiplyWith(*other, a, b, want, dc.accumulate);
+        engine.multiplyWith(build, a, b, got, dc.accumulate);
+        expectBitEqual(want, got, describe(param.name, dc) + " non-finite");
     }
+}
+
+TEST_P(HbfpDifferential, MatchesNaiveBlockLoopBitwise)
+{
+    fuzzHbfp(GetParam(), KernelBuild::Baseline, nullptr);
+}
+
+TEST_P(HbfpDifferential, X86V3BuildMatchesBitwise)
+{
+    if (!kernelBuildSupported(KernelBuild::X86_64_V3))
+        GTEST_SKIP() << "this CPU lacks x86-64-v3 (AVX2 + FMA)";
+    const KernelBuild baseline = KernelBuild::Baseline;
+    fuzzHbfp(GetParam(), KernelBuild::X86_64_V3, &baseline);
 }
 
 // {8, 12, 12}: a single 127 x 127 product already overflows a 12-bit
@@ -526,6 +651,27 @@ TEST(BfpKernels, SaturatingRegisterMatchesNaive)
         naive::hbfp(a, b, want, false, fmt, len);
         engine.multiply(a, b, got, false);
         expectBitEqual(want, got, "saturating " + std::to_string(len));
+    }
+}
+
+TEST(BfpKernels, WideRegisterMatchesNaiveOnEveryBuild)
+{
+    // A 32-bit register never clips hbfp10 at 256, so the int32 kernel
+    // runs, and these dots reach ~256 * 507^2 > 2^24: converting one to
+    // float rounds it, which must round as bfpDotValue's product does.
+    const BfpFormat fmt{10, 12, 32};
+    Matrix a(5, 256, 0.99f), b(256, 9, 0.99f);
+    b.at(0, 4) = -0.99f;
+    a.at(2, 7) = 0.5f;
+    HbfpGemm engine(fmt, 256);
+    Matrix want(5, 9);
+    naive::hbfp(a, b, want, false, fmt, 256);
+    for (KernelBuild build : {KernelBuild::Baseline, KernelBuild::X86_64_V3}) {
+        if (!kernelBuildSupported(build))
+            continue;
+        Matrix got(5, 9);
+        engine.multiplyWith(build, a, b, got, false);
+        expectBitEqual(want, got, "wide register");
     }
 }
 

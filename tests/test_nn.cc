@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "arith/gemm.hh"
 #include "nn/datasets.hh"
@@ -192,6 +195,79 @@ TEST(ClusterDataset, BatchesPartitionEpoch)
         EXPECT_EQ(batch.inputs.rows(), batch.labels.size());
     }
     EXPECT_EQ(seen, 100u);
+}
+
+/** FNV-1a over the bit patterns of a stream of batches. */
+struct BatchDigest
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(const Batch &b)
+    {
+        bytes(b.inputs.data(), b.inputs.size() * sizeof(float));
+        bytes(b.labels.data(), b.labels.size() * sizeof(std::uint32_t));
+    }
+
+    void
+    bytes(const void *p, std::size_t n)
+    {
+        const auto *c = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= c[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+TEST(ClusterDataset, Figure2TaskIsPinned)
+{
+    // fig2_convergence's task (a) and perfbench hbfp_train's seed 1: the
+    // train split in epoch 0's order, then the validation split.
+    // Recorded before the bend loop took tanh once per feature.
+    for (auto [seed, want] :
+         {std::pair{std::uint64_t{1}, 0xb3873d0199690b94ull},
+          std::pair{std::uint64_t{1234}, 0x68342ac3a5c86536ull}}) {
+        ClusterDataset d(8, 24, 2048, 1024, 0.35, seed);
+        BatchDigest digest;
+        for (std::size_t b = 0; b < 32; ++b)
+            digest.add(d.trainBatch(0, b, 64));
+        digest.add(d.validation());
+        EXPECT_EQ(digest.h, want) << "seed " << seed;
+    }
+}
+
+/** Digest of three epochs of batches gathered from each epoch's order. */
+std::uint64_t
+epochBatchesDigest(const Dataset &d, std::size_t batch_size)
+{
+    const std::size_t batches =
+        (d.trainSize() + batch_size - 1) / batch_size;
+    BatchDigest digest;
+    for (std::size_t epoch = 0; epoch < 3; ++epoch) {
+        const std::vector<std::size_t> order = d.epochOrder(epoch);
+        for (std::size_t b = 0; b < batches; ++b) {
+            Batch batch = d.gatherBatch(order, b, batch_size);
+            Batch again = d.trainBatch(epoch, b, batch_size);
+            EXPECT_EQ(batch.labels, again.labels);
+            EXPECT_EQ(arith::maxAbsDiff(batch.inputs, again.inputs), 0.0);
+            digest.add(batch);
+        }
+    }
+    return digest.h;
+}
+
+TEST(Dataset, EpochBatchOrderIsPinned)
+{
+    // Recorded when trainBatch re-shuffled the split for every batch.
+    EXPECT_EQ(epochBatchesDigest(ClusterDataset(3, 6, 100, 10, 0.3, 11), 32),
+              0x4d2d4aa9b4cdfbc6ull);
+    EXPECT_EQ(
+        epochBatchesDigest(MarkovTextDataset(8, 3, 128, 32, 1.5, 13), 24),
+        0x75ca83c8b66aafa3ull);
+    EXPECT_EQ(epochBatchesDigest(
+                  ChainSequenceDataset(3, 8, 10, 128, 64, 2.0, 5), 20),
+              0x935ad47464d94bd5ull);
 }
 
 TEST(MarkovTextDataset, OneHotRows)
