@@ -61,6 +61,41 @@ TEST(RefactorIdentity, TrainingOnlyRun)
     EXPECT_EQ(digestOf(res), testutil::kGoldenTrainingOnly);
 }
 
+TEST(RefactorIdentity, TwoTenantRun)
+{
+    // Two inference services plus training: the run-level latency set
+    // is the union of the per-service sets, so fold its order
+    // statistics next to every SimResult field.
+    auto cfg = testutil::smallConfig();
+    workload::Compiler compiler(cfg);
+    Accelerator accel(cfg);
+    auto second = testutil::tinyRnn();
+    second.rnn.hidden = 48;
+    accel.installInference(compiler.compileInference(testutil::tinyRnn()));
+    accel.installInference(compiler.compileInference(second));
+    accel.installTraining(
+        compiler.compileTraining(testutil::tinyRnn(), 16));
+    RunSpec spec;
+    spec.arrival_rates = {0.25 * accel.maxRequestRate(0),
+                          0.2 * accel.maxRequestRate(1)};
+    spec.warmup_requests = 50;
+    spec.measure_requests = 600;
+    spec.seed = 31;
+    auto res = accel.run(spec);
+    ASSERT_EQ(res.per_service.size(), 2u);
+    EXPECT_EQ(res.latency_cycles.count(), res.per_service[0].completed +
+                                              res.per_service[1].completed);
+
+    testutil::ResultDigest dg;
+    testutil::foldSim(dg, res);
+    const auto &lat = res.latency_cycles;
+    dg.u64(lat.count());
+    dg.d(lat.mean());
+    for (double p : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0})
+        dg.d(lat.percentile(p));
+    EXPECT_EQ(dg.value(), 312847034753523190ull);
+}
+
 } // namespace
 } // namespace sim
 } // namespace equinox
