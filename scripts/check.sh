@@ -35,7 +35,12 @@
 #   scripts/check.sh --perfbench # build perfbench from source and run
 #                                # its selftest (python3 perfbench/run.py
 #                                # --selftest): the traced cluster
-#                                # replay must equal Cluster::run
+#                                # replay must equal Cluster::run; then
+#                                # run all four workloads at seeds 1-3
+#                                # for 1 s each and fail if any
+#                                # operation's output digest differs
+#                                # from perfbench/recorded_digests.txt
+#                                # ("failed" > 0)
 #   scripts/check.sh --format    # only run the clang-format check
 #
 # The "resilience" ctest label is a subset of tier1, so the default run
@@ -107,6 +112,25 @@ run_bench_smoke() {
     done
 }
 
+run_perfbench() {
+    python3 perfbench/run.py --selftest
+    local seed
+    for seed in 1 2 3; do
+        echo "check.sh: perfbench workloads, seed $seed"
+        python3 perfbench/run.py --workload all --seed "$seed" \
+            --seconds 1 | python3 -c '
+import json, sys
+results = []
+for line in sys.stdin:
+    print(line, end="")
+    if line.startswith("{"):
+        results.append(json.loads(line))
+ok = len(results) == 4 and all(r["failed"] == 0 for r in results)
+sys.exit(0 if ok else 1)
+'
+    done
+}
+
 case "${1:-}" in
   --format)
     run_format_check
@@ -142,7 +166,7 @@ case "${1:-}" in
     run_bench_smoke
     ;;
   --perfbench)
-    python3 perfbench/run.py --selftest
+    run_perfbench
     ;;
   "")
     run_format_check

@@ -23,11 +23,11 @@ namespace
 constexpr std::uint64_t kPriorityStream = 104729ull;
 constexpr std::uint64_t kJitterStream = 130363ull;
 
-/** One dispatch attempt in the global time-ordered event heap. */
+/** One dispatch attempt: a fresh candidate or a backed-off retry. */
 struct DispatchEvent
 {
     Tick t = 0;
-    std::uint64_t seq = 0; //!< FIFO tiebreak at equal ticks
+    std::uint64_t seq = 0; //!< retry push order: FIFO at equal ticks
     unsigned attempt = 0;  //!< 0 = first offer, > 0 = retry
     bool background = false;
 };
@@ -212,28 +212,34 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
     res.traces.resize(replicas_);
     res.assigned.assign(replicas_, 0);
 
-    std::vector<Tick> ticks =
-        generateCandidateTicks(rate_per_cycle, seed, max_ticks, surges);
-    res.generated = ticks.size();
-
     Rng priority_rng(seed * kPriorityStream + 7);
     Rng jitter_rng(seed * kJitterStream + 11);
 
-    // All dispatch attempts -- fresh candidates and backed-off retries
-    // -- drain through one global min-heap ordered by (tick, seq), so
-    // the per-replica traces come out non-decreasing no matter how
-    // retries interleave with later arrivals. The candidate count is
-    // the heap's provable high-water mark (every round pops one event
-    // and pushes at most one retry), so one reserve() up front keeps
-    // the whole routing pass allocation-free.
-    ReservedMinHeap<DispatchEvent, LaterEvent> heap;
-    heap.reserve(ticks.size());
-    std::uint64_t seq = 0;
+    // Dispatch attempts drain in tick order, so the per-replica traces
+    // come out non-decreasing however retries interleave with later
+    // arrivals. Fresh candidates come out of the stream in strictly
+    // increasing tick order and are tagged as they are pulled (the
+    // stream draws from its own Rng, so the tags match tagging every
+    // candidate up front); only backed-off retries wait in a heap.
+    // Each round takes the stream's head or the heap's top, whichever
+    // is earlier, and the head on a tie: a fresh candidate dispatches
+    // before every retry at its tick, and retries keep their push
+    // order through their own seq.
+    CandidateStream stream(rate_per_cycle, seed, max_ticks, surges);
     const double bg_frac = spec_.admission.background_fraction;
-    for (Tick t : ticks) {
-        bool bg = bg_frac > 0.0 && priority_rng.uniform() < bg_frac;
-        heap.push({t, seq++, 0, bg});
-    }
+    DispatchEvent head;
+    auto pullFresh = [&] {
+        if (!stream.next(head.t))
+            return false;
+        head.background =
+            bg_frac > 0.0 && priority_rng.uniform() < bg_frac;
+        ++res.generated;
+        return true;
+    };
+    bool have_head = pullFresh();
+    ReservedMinHeap<DispatchEvent, LaterEvent> retries;
+    std::uint64_t retry_seq = 0;
+    std::uint64_t fresh_popped = 0;
 
     double retry_tokens = spec_.retry.max_budget;
     // Only read with hedging on, where validate() guarantees window >= 1.
@@ -247,8 +253,15 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
             ++stats_.shed_inference_total;
     };
 
-    while (!heap.empty()) {
-        DispatchEvent ev = heap.pop();
+    while (have_head || !retries.empty()) {
+        DispatchEvent ev;
+        if (have_head && (retries.empty() || head.t <= retries.top().t)) {
+            ev = head;
+            ++fresh_popped;
+            have_head = pullFresh();
+        } else {
+            ev = retries.pop();
+        }
         const Tick t = ev.t;
 
         router_.drainAll(t);
@@ -290,8 +303,15 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                                          jitter_rng.uniform();
                     Tick delay = std::max<Tick>(
                         1, static_cast<Tick>(backoff));
-                    heap.push({t + delay, seq++, ev.attempt + 1,
-                               ev.background});
+                    retries.push({t + delay, retry_seq++,
+                                  ev.attempt + 1, ev.background});
+                    // Fresh candidates not yet offered plus pending
+                    // retries never exceed the candidate count: each
+                    // round takes one attempt and pushes at most one.
+                    EQX_ASSERT(retries.size() <= fresh_popped,
+                               "retry heap holds ", retries.size(),
+                               " retries after ", fresh_popped,
+                               " fresh offers");
                     continue;
                 }
                 ++stats_.retry_budget_exhausted;
@@ -354,12 +374,11 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                                           stats_.retry_shed +
                                           stats_.outage_shed,
                "a failed pick was neither retried nor shed");
-    EQX_ASSERT(heap.reallocations() == 0,
-               "dispatch heap reallocated mid-route: reserve(",
-               ticks.size(), ") was not the high-water mark (saw ",
-               heap.highWater(), ")");
-    stats_.dispatch_heap_reallocs = heap.reallocations();
-    stats_.dispatch_heap_high_water = heap.highWater();
+    // Before the first offer all `generated` candidates are pending,
+    // and the retry-push assertion keeps the pending count at or
+    // below that afterwards.
+    stats_.dispatch_heap_high_water = res.generated;
+    stats_.retry_heap_high_water = retries.highWater();
 
     for (const auto &b : breakers_) {
         stats_.breaker_opens += b.opens();

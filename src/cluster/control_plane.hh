@@ -30,9 +30,10 @@
  * so the autoscaler counts it as offered load.
  *
  * Determinism: candidates, priority tags, retry jitter, and chaos all
- * draw from separate seeded Rng streams; retries and hedges are
- * processed through one global time-ordered event heap so per-replica
- * traces stay non-decreasing and a run is a pure function of
+ * draw from separate seeded Rng streams; the candidate stream is
+ * merged in tick order with a heap of backed-off retries (a fresh
+ * candidate first on a tie), so per-replica traces stay
+ * non-decreasing and a run is a pure function of
  * (spec, rate, seed, horizon, surges). With every mechanism disabled
  * the Cluster never constructs a ControlPlane at all, so golden
  * digests are untouched.
@@ -154,14 +155,14 @@ struct ResilienceStats
     std::uint64_t overload_candidates = 0;
 
     /**
-     * Allocation audit of the global dispatch heap: route() reserves
-     * the candidate count up front (each round pops one event and
-     * pushes at most one retry, so the initial fill is the provable
-     * high-water mark) and these must come out 0-realloc; the
-     * resilience suite pins that.
+     * Most dispatch attempts pending at once: fresh candidates not yet
+     * offered plus backed-off retries. All candidates are pending
+     * before the first offer, and each round takes one attempt and
+     * re-offers at most one retry, so this is the candidate count.
      */
-    std::uint64_t dispatch_heap_reallocs = 0;
     std::size_t dispatch_heap_high_water = 0;
+    /** Most retries the retry heap held at once. */
+    std::size_t retry_heap_high_water = 0;
     /** Training replicas the coordinator shed (filled by Cluster). */
     std::size_t training_replicas_shed = 0;
 

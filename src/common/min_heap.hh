@@ -7,11 +7,10 @@
  * pre-size it to a known high-water mark nor prove afterwards that the
  * steady state stayed allocation-free, and its const top() forces a
  * copy where pop() here moves the element out (EventQueue's entries
- * are move-only). Both dispatch loops know a high-water mark up front:
- * EventQueue reserves the worst one a previous run observed, and the
- * cluster control plane's candidate recipe fixes how many entries can
- * ever be simultaneously pending. Each reserves once, and
- * reallocations() audits that the reserve held.
+ * are move-only). EventQueue reserves the worst high-water mark a
+ * previous run observed, and reallocations() audits that the reserve
+ * held. The cluster control plane's retry heap reserves nothing: it
+ * holds only the retries in flight, and highWater() reports its peak.
  *
  * Ordering contract: Compare is a *greater-than* style comparator (as
  * std::push_heap wants for a min-heap via inversion); top() is the

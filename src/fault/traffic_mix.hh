@@ -10,9 +10,9 @@
  * a mix is purely declarative: materializeTraffic() flattens the
  * composed rate profile into piecewise-constant SurgeWindows, which
  * the router-side Lewis-Shedler thinning (cluster::CandidateStream,
- * pulled by FleetRouter::route; ControlPlane::route drains it up front
- * through generateCandidateTicks) consumes unchanged -- candidates are
- * drawn at the peak rate and thinned against the instantaneous factor.
+ * pulled one candidate at a time by FleetRouter::route and
+ * ControlPlane::route) consumes unchanged -- candidates are drawn at
+ * the peak rate and thinned against the instantaneous factor.
  * Because the windows are non-overlapping, the router's
  * max-over-windows semantics reduce to "the factor of the window
  * containing t"; chaos flash crowds laid on top compose by max, not

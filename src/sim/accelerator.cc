@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string_view>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -426,7 +427,25 @@ Accelerator::runOnce(const RunSpec &run_spec, bool use_ff,
     }
     res.inference_throughput_ops = datapath->infUsefulOps() / elapsed_s;
     res.training_throughput_ops = datapath->trainUsefulOps() / elapsed_s;
-    const auto &latency = datapath->latencyCycles();
+    for (const auto &svc : ctx.services) {
+        SimResult::ServiceStats st;
+        st.ctx = svc->id;
+        st.model_name = svc->desc.model_name;
+        st.completed = svc->latency_cycles.count();
+        st.mean_latency_s = svc->latency_cycles.mean() * inv_f;
+        st.p99_latency_s = svc->latency_cycles.percentile(0.99) * inv_f;
+        res.per_service.push_back(st);
+    }
+    // The run's latency set is the union of the per-service sets, in
+    // service order. Samples are whole cycle counts, so their sum --
+    // and the mean -- is exact in any order.
+    stats::LatencyTracker latency;
+    if (ctx.services.size() == 1) {
+        latency = std::move(ctx.services.front()->latency_cycles);
+    } else {
+        for (const auto &svc : ctx.services)
+            latency.merge(svc->latency_cycles);
+    }
     res.mean_latency_s = latency.mean() * inv_f;
     res.p50_latency_s = latency.percentile(0.5) * inv_f;
     res.p99_latency_s = latency.percentile(0.99) * inv_f;
@@ -447,15 +466,6 @@ Accelerator::runOnce(const RunSpec &run_spec, bool use_ff,
     res.training_iterations = ctx.train_iterations_measured;
     res.mmu_busy_cycles = datapath->mmuBusyMeasured();
     res.simd_busy_cycles = datapath->simdBusyMeasured();
-    for (const auto &svc : ctx.services) {
-        SimResult::ServiceStats st;
-        st.ctx = svc->id;
-        st.model_name = svc->desc.model_name;
-        st.completed = svc->latency_cycles.count();
-        st.mean_latency_s = svc->latency_cycles.mean() * inv_f;
-        st.p99_latency_s = svc->latency_cycles.percentile(0.99) * inv_f;
-        res.per_service.push_back(st);
-    }
     res.faults = faults->stats();
     res.availability = faults->stats().availability(elapsed_ticks);
     res.admitted_requests = requests->requestsAdmitted();
@@ -468,7 +478,7 @@ Accelerator::runOnce(const RunSpec &run_spec, bool use_ff,
                "admitted ", res.admitted_requests, " != retired ",
                res.retired_requests, " + inflight ",
                res.inflight_requests);
-    res.latency_cycles = latency;
+    res.latency_cycles = std::move(latency);
     if (ctx.train) {
         res.committed_training_iterations =
             faults->active() &&

@@ -57,7 +57,6 @@ void
 Datapath::beginMeasurement()
 {
     breakdown.reset();
-    latency_cycles.reset();
     service_cycles.reset();
     inf_useful_ops = 0.0;
     train_useful_ops = 0.0;
@@ -221,7 +220,6 @@ Datapath::completeInferenceChunk(InfBatch *batch, Tick chunk)
                           : ready;
         if (ctx.measuring) {
             for (Tick a : batch->arrivals) {
-                latency_cycles.record(static_cast<double>(finish - a));
                 batch->svc->latency_cycles.record(
                     static_cast<double>(finish - a));
                 // Arrival-to-retire span, one event per measured

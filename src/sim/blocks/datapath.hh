@@ -6,8 +6,9 @@
  * granularity interleaving between inference and training), the shared
  * SIMD unit's serialising epilogues, per-step drains, and batch/
  * iteration retirement -- and owns every measured-window datapath
- * accumulator: the Figure 8 cycle breakdown, the latency/service
- * trackers, useful-op counts, and MMU/SIMD busy cycles.
+ * accumulator: the Figure 8 cycle breakdown, the service-time tracker,
+ * useful-op counts, and MMU/SIMD busy cycles. Request latencies are
+ * recorded once, into the retiring service's own tracker.
  */
 
 #ifndef EQUINOX_SIM_BLOCKS_DATAPATH_HH
@@ -64,10 +65,6 @@ class Datapath final : public SimBlock
     {
         return breakdown;
     }
-    const stats::LatencyTracker &latencyCycles() const
-    {
-        return latency_cycles;
-    }
     const stats::LatencyTracker &serviceCycles() const
     {
         return service_cycles;
@@ -97,7 +94,6 @@ class Datapath final : public SimBlock
 
     // -- measured window ------------------------------------------------
     stats::CycleBreakdown breakdown; //!< Figure 8 categories
-    stats::LatencyTracker latency_cycles;
     stats::LatencyTracker service_cycles;
     double inf_useful_ops = 0.0;
     double train_useful_ops = 0.0;

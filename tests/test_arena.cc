@@ -132,8 +132,9 @@ TEST(Ring, MatchesDequeUnderRandomChurn)
         }
         ASSERT_EQ(ring.size(), ref.size());
         ASSERT_EQ(ring.empty(), ref.empty());
-        if (!ref.empty())
+        if (!ref.empty()) {
             ASSERT_EQ(ring.front(), ref.front());
+        }
     }
 }
 

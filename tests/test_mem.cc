@@ -240,8 +240,9 @@ TEST(Scratchpad, PingPongNeverOverlapsFillAndDrainBank)
                 ByteCount n = rng.uniformInt(1, sp.consumable());
                 sp.drained(n);
             }
-            if (sp.fillActive() && sp.drainActive())
+            if (sp.fillActive() && sp.drainActive()) {
                 ASSERT_NE(sp.fillBank(), sp.drainBank());
+            }
             ASSERT_LE(sp.occupancy(), sp.capacity());
             ASSERT_LE(sp.bytesDrained(), sp.bytesFilled());
         }

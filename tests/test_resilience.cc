@@ -672,22 +672,22 @@ TEST(ControlPlane, ConservationIdentitiesHoldUnderChaos)
         // Hedge wins cannot exceed hedges; recoveries need attempts.
         EXPECT_LE(s.hedge_wins, s.hedges_issued);
         EXPECT_LE(s.retry_recovered, s.retry_attempts);
-        // The dispatch heap was reserved to the candidate count up
-        // front; retries re-push while draining, so even under chaos
-        // the routing pass must stay allocation-free.
-        EXPECT_EQ(s.dispatch_heap_reallocs, 0u) << "seed " << seed;
-        EXPECT_LE(s.dispatch_heap_high_water,
+        // Every candidate is pending before the first offer; only
+        // retries wait in the retry heap, never more than were tried.
+        EXPECT_EQ(s.dispatch_heap_high_water,
                   static_cast<std::size_t>(res.generated))
+            << "seed " << seed;
+        EXPECT_LE(s.retry_heap_high_water, s.retry_attempts)
             << "seed " << seed;
     }
 }
 
-TEST(ControlPlane, DispatchHeapNeverReallocatesMidRoute)
+TEST(ControlPlane, RetryHeapHoldsOnlyPendingRetries)
 {
-    // Pin of the reserve contract on the retry-heavy path: a
-    // fleet-wide outage maximizes retry re-pushes into the heap while
-    // it drains, which is exactly when an under-reserved heap would
-    // grow. The candidate count must remain the high-water mark.
+    // The retry-heavy path: a fleet-wide outage re-offers every
+    // candidate that lands in it. The pending attempts still peak at
+    // the candidate count, while the retry heap only ever holds the
+    // retries in flight -- at most the candidates of one outage.
     cluster::ResilienceSpec spec;
     spec.retry.enabled = true;
     spec.retry.max_attempts = 6;
@@ -703,10 +703,13 @@ TEST(ControlPlane, DispatchHeapNeverReallocatesMidRoute)
     auto res = cp.route(1.6e-3, 7, horizon);
     const auto &s = cp.stats();
     EXPECT_GT(s.retry_attempts, 0u);
-    EXPECT_EQ(s.dispatch_heap_reallocs, 0u);
     EXPECT_GT(s.dispatch_heap_high_water, 0u);
-    EXPECT_LE(s.dispatch_heap_high_water,
+    EXPECT_EQ(s.dispatch_heap_high_water,
               static_cast<std::size_t>(res.generated));
+    EXPECT_GT(s.retry_heap_high_water, 0u);
+    EXPECT_LE(s.retry_heap_high_water, s.retry_attempts);
+    EXPECT_LT(s.retry_heap_high_water,
+              static_cast<std::size_t>(res.generated) / 2);
 }
 
 TEST(ControlPlane, HedgeBudgetCapsDuplicates)
