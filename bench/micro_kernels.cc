@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the library's hot kernels: the
- * arithmetic engines, block-floating-point conversion, the event queue,
- * the DRAM link model, and the workload compiler. These quantify the
- * simulator's own performance, not the paper's results.
+ * arithmetic engines, a whole training step, block-floating-point
+ * conversion, the event queue, the DRAM link model, and the workload
+ * compiler. These quantify the simulator's own performance, not the
+ * paper's results.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,8 @@
 #include "arith/gemm.hh"
 #include "common/random.hh"
 #include "dram/hbm.hh"
+#include "nn/loss.hh"
+#include "nn/mlp.hh"
 #include "sim/event_queue.hh"
 #include "stats/histogram.hh"
 #include "workload/compiler.hh"
@@ -86,6 +89,36 @@ trainingShapes(benchmark::internal::Benchmark *b)
     b->Args({1024, 24, 96});
     b->Args({64, 48, 8});
     b->Args({64, 8, 48});
+}
+
+/**
+ * One SGD step of perfbench hbfp_train's 24-96-48-8 ReLU MLP at batch
+ * 64: forward, softmax cross entropy, backward and the momentum update,
+ * so the elementwise passes in src/nn count next to the GEMMs.
+ */
+void
+BM_TrainStep(benchmark::State &state, arith::Encoding enc)
+{
+    constexpr std::size_t kBatch = 64;
+    constexpr std::size_t kClasses = 8;
+    auto engine = arith::makeGemmEngine(enc);
+    Rng rng(11);
+    nn::Mlp net({24, 96, 48, kClasses}, nn::Activation::Relu, *engine,
+                rng);
+    auto x = randomMatrix(kBatch, 24, 12);
+    std::vector<std::uint32_t> labels(kBatch);
+    for (auto &l : labels)
+        l = static_cast<std::uint32_t>(rng.uniformInt(0, kClasses - 1));
+    for (auto _ : state) {
+        arith::Matrix logits = net.forward(x);
+        auto loss = nn::softmaxCrossEntropy(logits, labels);
+        net.backward(loss.logit_grad);
+        net.step(0.01, 0.9);
+        benchmark::DoNotOptimize(loss.mean_loss);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
+                            * static_cast<std::int64_t>(kBatch));
 }
 
 void
@@ -235,6 +268,9 @@ BENCHMARK_CAPTURE(BM_GemmShape, bfloat16, arith::Encoding::Bfloat16)
     ->Apply(trainingShapes);
 BENCHMARK_CAPTURE(BM_GemmShape, hbfp8, arith::Encoding::Hbfp8)
     ->Apply(trainingShapes);
+BENCHMARK_CAPTURE(BM_TrainStep, fp32, arith::Encoding::Fp32);
+BENCHMARK_CAPTURE(BM_TrainStep, bfloat16, arith::Encoding::Bfloat16);
+BENCHMARK_CAPTURE(BM_TrainStep, hbfp8, arith::Encoding::Hbfp8);
 BENCHMARK(BM_BfpQuantize)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_BfpDot)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_EventQueue)->Arg(1024)->Arg(65536);
@@ -253,7 +289,8 @@ main(int argc, char **argv)
     equinox::bench::Harness harness(argc, argv, "micro_kernels",
                                     "Microbenchmarks",
                                     "Hot-kernel timings (gemm engines, "
-                                    "BFP, event queue, compiler)");
+                                    "training step, BFP, event queue, "
+                                    "compiler)");
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

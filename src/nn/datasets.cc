@@ -39,10 +39,12 @@ Dataset::gatherBatch(const std::vector<std::size_t> &order,
     Batch out;
     out.inputs = Matrix(hi - lo, train.inputs.cols());
     out.labels.resize(hi - lo);
+    const std::size_t cols = train.inputs.cols();
     for (std::size_t i = lo; i < hi; ++i) {
         std::size_t src = order[i];
-        for (std::size_t c = 0; c < train.inputs.cols(); ++c)
-            out.inputs.at(i - lo, c) = train.inputs.at(src, c);
+        EQX_ASSERT(src < n, "epoch order names example ", src, " of ", n);
+        const float *row = train.inputs.rowPtr(src);
+        std::copy(row, row + cols, out.inputs.rowPtr(i - lo));
         out.labels[i - lo] = train.labels[src];
     }
     return out;

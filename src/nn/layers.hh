@@ -34,16 +34,39 @@ enum class Activation
     Tanh,
 };
 
-/** Apply @p act elementwise. */
+/**
+ * Apply @p act elementwise. ReLU is std::max(0.0f, x): NaN and -0 both
+ * map to +0.
+ */
 void applyActivation(Activation act, Matrix &m);
 
 /**
  * Multiply @p upstream by the activation derivative evaluated at the
  * pre-activation output @p activated (both ReLU and tanh derivatives are
- * expressible from the activated value).
+ * expressible from the activated value). ReLU zeroes @p upstream where
+ * @p activated <= 0 and keeps it elsewhere, NaN included.
  */
 void applyActivationGrad(Activation act, const Matrix &activated,
                          Matrix &upstream);
+
+/**
+ * m = act(m + bias) in one pass, with the 1 x m.cols() @p bias added to
+ * every row: bit for bit the bias add followed by applyActivation().
+ */
+void addBiasActivate(Activation act, const Matrix &bias, Matrix &m);
+
+/** col_sums(0, c) += sum over rows r of m(r, c), rows in order. */
+void addColumnSums(const Matrix &m, Matrix &col_sums);
+
+/**
+ * One pass of the backward step through @p act: returns @p upstream
+ * multiplied by the derivative at @p activated (applyActivationGrad()'s
+ * bits) and adds its column sums to @p col_sums (addColumnSums()'s bits),
+ * the bias gradient.
+ */
+Matrix activationGradColumnSums(Activation act, const Matrix &activated,
+                                const Matrix &upstream,
+                                Matrix &col_sums);
 
 /**
  * Fully connected layer: Y = act(X W + b).
@@ -63,12 +86,15 @@ class DenseLayer
                Rng &rng);
 
     /**
-     * Forward pass; caches input and output for backward().
+     * Forward pass; caches the transposed input and the output for
+     * backward().
      * @param x batch-major input (batch x in_dim)
      * @param engine arithmetic to run the GEMM in
-     * @return activated output (batch x out_dim)
+     * @return activated output (batch x out_dim), owned by the layer and
+     *         valid until the next forward()
      */
-    Matrix forward(const Matrix &x, const arith::GemmEngine &engine);
+    const Matrix &forward(const Matrix &x,
+                          const arith::GemmEngine &engine);
 
     /**
      * Backward pass; accumulates weight/bias gradients internally.
@@ -91,8 +117,8 @@ class DenseLayer
     Matrix b_grad;
     Matrix w_vel;    // momentum buffers
     Matrix b_vel;
-    Matrix cached_in;
-    Matrix cached_out;
+    Matrix input_t;  // X^T of the last forward(), for the wgrad GEMM
+    Matrix output;   // act(X W + b) of the last forward()
     Activation activation;
 };
 

@@ -23,38 +23,42 @@ softmaxCrossEntropy(const Matrix &logits,
     SoftmaxLossResult res;
     res.logit_grad = Matrix(batch, classes);
 
+    const double inv_batch = 1.0 / static_cast<double>(batch);
+    std::vector<double> exps(classes);  // exp(logit - max) of one row
     double loss_sum = 0.0;
     std::size_t errors = 0;
     for (std::size_t r = 0; r < batch; ++r) {
-        EQX_ASSERT(labels[r] < classes, "label out of range: ", labels[r]);
+        const std::uint32_t label = labels[r];
+        EQX_ASSERT(label < classes, "label out of range: ", label);
+        const float *row = logits.rowPtr(r);
+        float *grad = res.logit_grad.rowPtr(r);
 
         // Stable softmax.
-        float mx = logits.at(r, 0);
+        float mx = row[0];
         std::size_t argmax = 0;
         for (std::size_t c = 1; c < classes; ++c) {
-            if (logits.at(r, c) > mx) {
-                mx = logits.at(r, c);
+            if (row[c] > mx) {
+                mx = row[c];
                 argmax = c;
             }
         }
         double denom = 0.0;
-        for (std::size_t c = 0; c < classes; ++c)
-            denom += std::exp(static_cast<double>(logits.at(r, c) - mx));
+        for (std::size_t c = 0; c < classes; ++c) {
+            exps[c] = std::exp(static_cast<double>(row[c] - mx));
+            denom += exps[c];
+        }
 
         double log_denom = std::log(denom);
         double log_p_label =
-            static_cast<double>(logits.at(r, labels[r]) - mx) - log_denom;
+            static_cast<double>(row[label] - mx) - log_denom;
         loss_sum -= log_p_label;
-        if (argmax != labels[r])
+        if (argmax != label)
             ++errors;
 
-        double inv_batch = 1.0 / static_cast<double>(batch);
         for (std::size_t c = 0; c < classes; ++c) {
-            double p = std::exp(
-                static_cast<double>(logits.at(r, c) - mx)) / denom;
-            double t = (c == labels[r]) ? 1.0 : 0.0;
-            res.logit_grad.at(r, c) = static_cast<float>((p - t) *
-                                                         inv_batch);
+            double p = exps[c] / denom;
+            double t = (c == label) ? 1.0 : 0.0;
+            grad[c] = static_cast<float>((p - t) * inv_batch);
         }
     }
 

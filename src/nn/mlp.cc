@@ -23,17 +23,19 @@ Mlp::Mlp(const std::vector<std::size_t> &dims, Activation hidden_act,
 Matrix
 Mlp::forward(const Matrix &x)
 {
-    Matrix cur = x;
+    // Each layer reads its predecessor's cached output in place; only
+    // the logits are copied out.
+    const Matrix *cur = &x;
     for (auto &layer : layers)
-        cur = layer.forward(cur, engine_);
-    return cur;
+        cur = &layer.forward(*cur, engine_);
+    return *cur;
 }
 
 void
 Mlp::backward(const Matrix &logit_grad)
 {
-    Matrix grad = logit_grad;
-    for (auto it = layers.rbegin(); it != layers.rend(); ++it)
+    Matrix grad = layers.back().backward(logit_grad, engine_);
+    for (auto it = layers.rbegin() + 1; it != layers.rend(); ++it)
         grad = it->backward(grad, engine_);
 }
 

@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "arith/tensor.hh"
+
 namespace equinox
 {
 namespace nn
@@ -26,6 +28,13 @@ struct SgdConfig
     /** Effective learning rate for @p epoch (0-based). */
     double rateForEpoch(std::size_t epoch) const;
 };
+
+/**
+ * One SGD-with-momentum update of a parameter tensor, in binary32:
+ * v = momentum * v - lr * grad; weights += v; grad = 0.
+ */
+void sgdMomentumStep(arith::Matrix &weights, arith::Matrix &grad,
+                     arith::Matrix &velocity, double lr, double momentum);
 
 } // namespace nn
 } // namespace equinox

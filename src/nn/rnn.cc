@@ -1,8 +1,11 @@
 #include "nn/rnn.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
+#include "nn/layers.hh"
+#include "nn/optimizer.hh"
 
 namespace equinox
 {
@@ -12,18 +15,30 @@ namespace nn
 namespace
 {
 
-/** SGD-with-momentum update of one tensor. */
-void
-sgdStep(Matrix &weights, Matrix &grad, Matrix &velocity, double lr,
-        double momentum)
+/** Step @p t of the step-major input @p x: batch x in_dim. */
+Matrix
+sliceStep(const Matrix &x, std::size_t t, std::size_t in_dim)
 {
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        float v = static_cast<float>(momentum) * velocity.data()[i] -
-                  static_cast<float>(lr) * grad.data()[i];
-        velocity.data()[i] = v;
-        weights.data()[i] += v;
+    Matrix out(x.rows(), in_dim);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        const float *src = x.rowPtr(r) + t * in_dim;
+        std::copy(src, src + in_dim, out.rowPtr(r));
     }
-    grad.zero();
+    return out;
+}
+
+void
+addInPlace(float *__restrict acc, const float *__restrict v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        acc[i] += v[i];
+}
+
+void
+scaleInPlace(float *m, float s, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        m[i] *= s;
 }
 
 } // namespace
@@ -53,18 +68,6 @@ ElmanRnn::ElmanRnn(std::size_t in_dim, std::size_t hidden,
 }
 
 Matrix
-ElmanRnn::sliceStep(const Matrix &x, std::size_t t) const
-{
-    const std::size_t in_dim = wx.rows();
-    Matrix out(x.rows(), in_dim);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        const float *src = x.rowPtr(r) + t * in_dim;
-        std::copy(src, src + in_dim, out.rowPtr(r));
-    }
-    return out;
-}
-
-Matrix
 ElmanRnn::forward(const Matrix &x, std::size_t steps,
                   const arith::GemmEngine &engine)
 {
@@ -78,34 +81,26 @@ ElmanRnn::forward(const Matrix &x, std::size_t steps,
     cached_steps = steps;
     hidden_states.assign(steps, Matrix());
 
-    Matrix h(x.rows(), hidden, 0.0f);
+    const Matrix h0(x.rows(), hidden, 0.0f);
     for (std::size_t t = 0; t < steps; ++t) {
-        Matrix xt = sliceStep(x, t);
         Matrix pre(x.rows(), hidden);
-        engine.multiply(xt, wx, pre, false);
-        engine.multiply(h, wh, pre, true);
-        for (std::size_t r = 0; r < pre.rows(); ++r)
-            for (std::size_t c = 0; c < hidden; ++c)
-                pre.at(r, c) = std::tanh(pre.at(r, c) + bh.at(0, c));
-        h = pre;
-        hidden_states[t] = h;
+        engine.multiply(sliceStep(x, t, in_dim), wx, pre, false);
+        engine.multiply(t == 0 ? h0 : hidden_states[t - 1], wh, pre, true);
+        addBiasActivate(Activation::Tanh, bh, pre);
+        hidden_states[t] = std::move(pre);
     }
 
     // Mean-pooled readout over all hidden states.
     Matrix pooled(x.rows(), hidden, 0.0f);
     for (const auto &ht : hidden_states)
-        for (std::size_t i = 0; i < pooled.size(); ++i)
-            pooled.data()[i] += ht.data()[i];
-    float inv_steps = 1.0f / static_cast<float>(steps);
-    for (std::size_t i = 0; i < pooled.size(); ++i)
-        pooled.data()[i] *= inv_steps;
-    pooled_cache = pooled;
+        addInPlace(pooled.data(), ht.data(), pooled.size());
+    scaleInPlace(pooled.data(), 1.0f / static_cast<float>(steps),
+                 pooled.size());
+    pooled_t = pooled.transposed();
 
     Matrix logits(x.rows(), wy.cols());
     engine.multiply(pooled, wy, logits, false);
-    for (std::size_t r = 0; r < logits.rows(); ++r)
-        for (std::size_t c = 0; c < logits.cols(); ++c)
-            logits.at(r, c) += by.at(0, c);
+    addBiasActivate(Activation::None, by, logits);
     return logits;
 }
 
@@ -114,68 +109,53 @@ ElmanRnn::backward(const Matrix &logit_grad,
                    const arith::GemmEngine &engine)
 {
     EQX_ASSERT(cached_steps > 0, "backward() before forward()");
+    const std::size_t in_dim = wx.rows();
     const std::size_t hidden = wh.rows();
 
     // Classifier gradients against the pooled state.
-    {
-        Matrix pt = pooled_cache.transposed();
-        engine.multiply(pt, logit_grad, g_wy, true);
-        for (std::size_t r = 0; r < logit_grad.rows(); ++r)
-            for (std::size_t c = 0; c < logit_grad.cols(); ++c)
-                g_by.at(0, c) += logit_grad.at(r, c);
-    }
+    engine.multiply(pooled_t, logit_grad, g_wy, true);
+    addColumnSums(logit_grad, g_by);
 
     // Every step's hidden state receives dPool = dLogits Wy^T / T in
     // addition to the recurrent gradient flow.
-    Matrix wy_t = wy.transposed();
     Matrix dpool(logit_grad.rows(), hidden);
-    engine.multiply(logit_grad, wy_t, dpool, false);
-    float inv_steps = 1.0f / static_cast<float>(cached_steps);
-    for (std::size_t i = 0; i < dpool.size(); ++i)
-        dpool.data()[i] *= inv_steps;
+    engine.multiply(logit_grad, wy.transposed(), dpool, false);
+    scaleInPlace(dpool.data(), 1.0f / static_cast<float>(cached_steps),
+                 dpool.size());
 
-    Matrix dh = dpool;
-    Matrix wh_t = wh.transposed();
+    const Matrix wh_t = wh.transposed();
+    Matrix dh_next;  // dh of step t once t < T - 1
     for (std::size_t t = cached_steps; t-- > 0;) {
-        const Matrix &h_t = hidden_states[t];
-        // dPre = dh * (1 - h^2).
-        Matrix dpre = dh;
-        for (std::size_t i = 0; i < dpre.size(); ++i) {
-            float y = h_t.data()[i];
-            dpre.data()[i] *= (1.0f - y * y);
-        }
+        const Matrix &dh = t + 1 == cached_steps ? dpool : dh_next;
+        // dPre = dh * (1 - h^2), and dBh += column sums of dPre.
+        Matrix dpre = activationGradColumnSums(
+            Activation::Tanh, hidden_states[t], dh, g_bh);
 
         // Weight gradients: dWx += x_t^T dPre, dWh += h_{t-1}^T dPre.
-        Matrix xt = sliceStep(cached_x, t).transposed();
-        engine.multiply(xt, dpre, g_wx, true);
-        if (t > 0) {
-            Matrix hprev_t = hidden_states[t - 1].transposed();
-            engine.multiply(hprev_t, dpre, g_wh, true);
-        }
-        for (std::size_t r = 0; r < dpre.rows(); ++r)
-            for (std::size_t c = 0; c < hidden; ++c)
-                g_bh.at(0, c) += dpre.at(r, c);
+        engine.multiply(sliceStep(cached_x, t, in_dim).transposed(), dpre,
+                        g_wx, true);
+        if (t == 0)
+            break;
+        engine.multiply(hidden_states[t - 1].transposed(), dpre, g_wh,
+                        true);
 
         // dh for the previous step: recurrent flow plus its own share
         // of the pooled readout gradient.
-        if (t > 0) {
-            Matrix next(dpre.rows(), hidden);
-            engine.multiply(dpre, wh_t, next, false);
-            for (std::size_t i = 0; i < next.size(); ++i)
-                next.data()[i] += dpool.data()[i];
-            dh = next;
-        }
+        Matrix next(dpre.rows(), hidden);
+        engine.multiply(dpre, wh_t, next, false);
+        addInPlace(next.data(), dpool.data(), next.size());
+        dh_next = std::move(next);
     }
 }
 
 void
 ElmanRnn::step(double lr, double momentum)
 {
-    sgdStep(wx, g_wx, v_wx, lr, momentum);
-    sgdStep(wh, g_wh, v_wh, lr, momentum);
-    sgdStep(wy, g_wy, v_wy, lr, momentum);
-    sgdStep(bh, g_bh, v_bh, lr, momentum);
-    sgdStep(by, g_by, v_by, lr, momentum);
+    sgdMomentumStep(wx, g_wx, v_wx, lr, momentum);
+    sgdMomentumStep(wh, g_wh, v_wh, lr, momentum);
+    sgdMomentumStep(wy, g_wy, v_wy, lr, momentum);
+    sgdMomentumStep(bh, g_bh, v_bh, lr, momentum);
+    sgdMomentumStep(by, g_by, v_by, lr, momentum);
 }
 
 } // namespace nn

@@ -66,9 +66,6 @@ class ElmanRnn
     std::size_t classCount() const { return wy.cols(); }
 
   private:
-    /** Slice step @p t of the step-major input into a batch x in_dim. */
-    Matrix sliceStep(const Matrix &x, std::size_t t) const;
-
     Matrix wx;  // in_dim x hidden
     Matrix wh;  // hidden x hidden
     Matrix wy;  // hidden x classes
@@ -80,7 +77,7 @@ class ElmanRnn
 
     // caches for BPTT
     Matrix cached_x;
-    Matrix pooled_cache;
+    Matrix pooled_t;  // mean-pooled state, transposed for the Wy GEMM
     std::size_t cached_steps = 0;
     std::vector<Matrix> hidden_states; // h_1 .. h_T (batch x hidden)
 };

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "arith/tensor.hh"
 #include "common/random.hh"
@@ -53,6 +55,29 @@ TEST(Matrix, TransposedInvolution)
     EXPECT_EQ(t.rows(), 7u);
     EXPECT_EQ(t.cols(), 5u);
     EXPECT_EQ(t.at(3, 2), m.at(2, 3));
+}
+
+TEST(Matrix, TransposedKeepsEveryBitOnRaggedShapes)
+{
+    // Shapes on both sides of the 4x4 tiles; each element is a distinct
+    // bit pattern, NaN payloads and signalling NaNs included.
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+        for (std::size_t cols = 1; cols <= 9; ++cols) {
+            Matrix m(rows, cols);
+            for (std::size_t i = 0; i < m.size(); ++i)
+                m.data()[i] = std::bit_cast<float>(
+                    static_cast<std::uint32_t>(i % 3 == 0 ? 0x7f800001u + i
+                                                          : 0x3f800000u + i));
+            Matrix t = m.transposed();
+            ASSERT_EQ(t.rows(), cols);
+            ASSERT_EQ(t.cols(), rows);
+            for (std::size_t r = 0; r < rows; ++r)
+                for (std::size_t c = 0; c < cols; ++c)
+                    EXPECT_EQ(std::bit_cast<std::uint32_t>(t.at(c, r)),
+                              std::bit_cast<std::uint32_t>(m.at(r, c)))
+                        << rows << "x" << cols << " at " << r << "," << c;
+        }
+    }
 }
 
 TEST(Matrix, FrobeniusNorm)
