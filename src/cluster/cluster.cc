@@ -128,9 +128,7 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
     // of Accelerator::maxRequestRate() so a 1-replica cluster offers
     // bit-identical rates to the single-accelerator path.
     const isa::CompiledProgram &prog = compiled.inference.program;
-    double op_rate = static_cast<double>(prog.totalRealOps()) /
-                     static_cast<double>(prog.mmuBusyCycles()) * f;
-    double mu_req = op_rate / prog.opsPerRequest();
+    double mu_req = prog.saturationOpRate(f) / prog.opsPerRequest();
     double per_replica_rate = load * mu_req;
     Tick max_ticks = units::secondsToCycles(opts.max_sim_s, f);
 

@@ -225,7 +225,7 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
     // is earlier, and the head on a tie: a fresh candidate dispatches
     // before every retry at its tick, and retries keep their push
     // order through their own seq.
-    CandidateStream stream(rate_per_cycle, seed, max_ticks, surges);
+    ArrivalStream stream(rate_per_cycle, seed, 0, max_ticks, surges);
     const double bg_frac = spec_.admission.background_fraction;
     DispatchEvent head;
     auto pullFresh = [&] {

@@ -524,7 +524,7 @@ FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
     res.traces.resize(cfg_.replicas);
     res.assigned.assign(cfg_.replicas, 0);
 
-    CandidateStream stream(rate_per_cycle, seed, max_ticks, surges);
+    ArrivalStream stream(rate_per_cycle, seed, 0, max_ticks, surges);
     for (Tick t = 0; stream.next(t);) {
         ++res.generated;
         std::size_t g = pick(t);

@@ -1,7 +1,5 @@
 #include "cluster/router.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace equinox
@@ -9,72 +7,13 @@ namespace equinox
 namespace cluster
 {
 
-CandidateStream::CandidateStream(double rate_per_cycle,
-                                 std::uint64_t seed, Tick max_ticks,
-                                 const std::vector<RouterSurge> &surges)
-    : max_ticks_(max_ticks), surges_(surges),
-      // Replay of RequestDispatcher's service-0 arrival recipe: same
-      // seeding, same draw, same Tick(wait) + 1 increment. Any change
-      // there must land here too or the 1-replica differential test
-      // breaks.
-      rng_(seed * 7919 + 1), done_(rate_per_cycle <= 0.0)
-{
-    for (const auto &s : surges_) {
-        EQX_ASSERT(s.factor >= 1.0, "surge factor must be >= 1");
-        peak_factor_ = std::max(peak_factor_, s.factor);
-    }
-    draw_rate_ = rate_per_cycle * peak_factor_;
-}
-
-double
-CandidateStream::factorAt(Tick t) const
-{
-    double factor = 1.0;
-    for (const auto &s : surges_) {
-        if (t >= s.from && t < s.to)
-            factor = std::max(factor, s.factor);
-    }
-    return factor;
-}
-
-bool
-CandidateStream::next(Tick &t)
-{
-    if (done_)
-        return false;
-    while (true) {
-        double wait = rng_.exponential(draw_rate_);
-        t_ += static_cast<Tick>(wait) + 1;
-        if (t_ > max_ticks_) {
-            // Include the first candidate beyond the horizon, always
-            // accepted: the replica event loop dispatches one event
-            // past max_ticks, so the trace must cover it for
-            // byte-identity with a stochastic run.
-            done_ = true;
-            t = t_;
-            return true;
-        }
-        // Flash-crowd path: candidates drawn at the peak rate are
-        // thinned against the instantaneous rate (Lewis-Shedler
-        // thinning). One seeded stream drives both the waits and the
-        // acceptance draws, keeping the whole stream a pure function
-        // of (rate, seed, surges). Without surges nothing is thinned
-        // and no acceptance draw is made.
-        if (surges_.empty() ||
-            rng_.uniform() * peak_factor_ < factorAt(t_)) {
-            t = t_;
-            return true;
-        }
-    }
-}
-
 std::vector<Tick>
 generateCandidateTicks(double rate_per_cycle, std::uint64_t seed,
                        Tick max_ticks,
                        const std::vector<RouterSurge> &surges)
 {
     std::vector<Tick> ticks;
-    CandidateStream stream(rate_per_cycle, seed, max_ticks, surges);
+    ArrivalStream stream(rate_per_cycle, seed, 0, max_ticks, surges);
     for (Tick t = 0; stream.next(t);)
         ticks.push_back(t);
     return ticks;

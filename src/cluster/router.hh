@@ -3,12 +3,12 @@
  * The front of the routing pipeline: the global inference candidate
  * stream, and the flat Router that picks a replica per candidate.
  *
- * The arrival generator replays the single-accelerator recipe exactly
- * -- Rng(seed * 7919 + 1), exponential inter-arrival draws at the
- * aggregate candidate rate, `Tick(wait) + 1` increments -- so a
- * 1-replica cluster hands its only replica the very tick sequence a
- * stochastic single-accelerator run would have drawn, and the replica
- * run is byte-identical to it (tests/test_cluster_differential.cc).
+ * Candidates come from stream 0 of the project's one arrival
+ * generator, ArrivalStream (common/random.hh), which also feeds the
+ * single accelerator's request dispatcher; so a 1-replica cluster hands
+ * its only replica the very tick sequence a stochastic
+ * single-accelerator run would have drawn, and the replica run is
+ * byte-identical to it (tests/test_cluster_differential.cc).
  *
  * The Router is the replica tier of FleetRouter (cluster/fleet.hh):
  * every cluster run routes through a FleetRouter, and a flat fleet is
@@ -46,59 +46,12 @@ struct RouterOutage
     Tick to = 0;
 };
 
-/** One arrival-rate surge window, in absolute ticks [from, to). */
-struct RouterSurge
-{
-    Tick from = 0;
-    Tick to = 0;
-    /** Arrival-rate multiplier inside the window (> 1). */
-    double factor = 1.0;
-};
+/** One arrival-rate surge window (the arrival stream's type). */
+using RouterSurge = ArrivalSurge;
 
 /**
- * The global candidate tick stream of one run, drawn one candidate at a
- * time. With no surge windows this replays RequestDispatcher's
- * service-0 arrival recipe exactly -- Rng(seed * 7919 + 1), exponential
- * draws at @p rate_per_cycle, `Tick(wait) + 1` increments, one
- * candidate past @p max_ticks -- so trace-fed replicas stay
- * byte-identical to their stochastic twins. With surge windows the
- * stream is drawn at the peak rate (base x max factor) and thinned
- * against the instantaneous rate, so candidates inside a window arrive
- * factor-times denser; this path only runs under chaos, where no
- * golden digest applies.
- *
- * Pulling candidates lets a router pick as they are drawn instead of
- * holding the whole horizon's ticks at once.
- */
-class CandidateStream
-{
-  public:
-    CandidateStream(double rate_per_cycle, std::uint64_t seed,
-                    Tick max_ticks,
-                    const std::vector<RouterSurge> &surges = {});
-
-    /**
-     * Store the next candidate tick in @p t; false once the stream has
-     * yielded its one-past-the-horizon candidate (at once when the
-     * rate is <= 0).
-     */
-    bool next(Tick &t);
-
-  private:
-    double factorAt(Tick t) const;
-
-    double draw_rate_ = 0.0;
-    Tick max_ticks_;
-    std::vector<RouterSurge> surges_;
-    double peak_factor_ = 1.0;
-    Rng rng_;
-    Tick t_ = 0;
-    bool done_;
-};
-
-/**
- * Every tick of a CandidateStream with the same arguments, in order.
- * A rate <= 0 yields no ticks.
+ * Every tick of stream 0 of an ArrivalStream with the same arguments,
+ * in order. A rate <= 0 yields no ticks.
  */
 std::vector<Tick> generateCandidateTicks(
     double rate_per_cycle, std::uint64_t seed, Tick max_ticks,

@@ -130,10 +130,8 @@ cachedInferenceSummary(const sim::AcceleratorConfig &cfg,
     auto svc = compiler.compileInference(model);
     InferenceSummary summary;
     summary.service_time_s = svc.service_time_s;
-    Tick busy = svc.program.mmuBusyCycles();
     summary.saturation_ops_per_s =
-        static_cast<double>(svc.program.totalRealOps()) /
-        static_cast<double>(busy) * cfg.frequency_hz;
+        svc.program.saturationOpRate(cfg.frequency_hz);
     {
         std::lock_guard<std::mutex> lock(mtx);
         cache.emplace(std::move(key), summary);

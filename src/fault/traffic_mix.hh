@@ -9,9 +9,9 @@
  * its own share of the base rate with its own modulation. Like chaos,
  * a mix is purely declarative: materializeTraffic() flattens the
  * composed rate profile into piecewise-constant SurgeWindows, which
- * the router-side Lewis-Shedler thinning (cluster::CandidateStream,
- * pulled one candidate at a time by FleetRouter::route and
- * ControlPlane::route) consumes unchanged -- candidates are drawn at
+ * the router-side Lewis-Shedler thinning (ArrivalStream, pulled one
+ * candidate at a time by FleetRouter::route and ControlPlane::route)
+ * consumes unchanged -- candidates are drawn at
  * the peak rate and thinned against the instantaneous factor.
  * Because the windows are non-overlapping, the router's
  * max-over-windows semantics reduce to "the factor of the window

@@ -42,6 +42,15 @@ CompiledProgram::opsPerRequest() const
            static_cast<double>(batch_rows);
 }
 
+double
+CompiledProgram::saturationOpRate(double frequency_hz) const
+{
+    Tick busy = mmuBusyCycles();
+    EQX_ASSERT(busy > 0, "program with no MMU work");
+    return static_cast<double>(totalRealOps()) /
+           static_cast<double>(busy) * frequency_hz;
+}
+
 ByteCount
 CompiledProgram::totalStreamBytes() const
 {

@@ -87,6 +87,13 @@ struct CompiledProgram
     /** Ops contributed by one real request (totalRealOps / batch_rows). */
     double opsPerRequest() const;
 
+    /**
+     * Saturation inference op rate in ops/s at @p frequency_hz: every
+     * real op of the program per MMU-busy cycle. Asserts the program
+     * has MMU work.
+     */
+    double saturationOpRate(double frequency_hz) const;
+
     /** Total DRAM-staged bytes over all steps. */
     ByteCount totalStreamBytes() const;
 

@@ -273,11 +273,8 @@ double
 Accelerator::maxInferenceOpRate(ContextId id) const
 {
     EQX_ASSERT(id < ctx.services.size(), "no such inference service");
-    const auto &prog = ctx.services[id]->desc.program;
-    Tick busy = prog.mmuBusyCycles();
-    EQX_ASSERT(busy > 0, "program with no MMU work");
-    return static_cast<double>(prog.totalRealOps()) /
-           static_cast<double>(busy) * cfg.frequency_hz;
+    return ctx.services[id]->desc.program.saturationOpRate(
+        cfg.frequency_hz);
 }
 
 double
@@ -359,8 +356,8 @@ Accelerator::runOnce(const RunSpec &run_spec, bool use_ff,
     ctx.resetMeasurement();
     ctx.measuring = false; // warmup first
 
-    // Schedule the first arrivals (per-service RNG streams re-seeded
-    // from the spec) and any explicit arrival trace.
+    // Schedule the first arrivals (per-service arrival streams
+    // re-seeded from the spec, or service 0's tick trace).
     requests->beginRun();
 
     if (ctx.train) {

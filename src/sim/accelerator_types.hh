@@ -71,12 +71,13 @@ enum class ArrivalProcess
 /** Parameters of one simulation run. */
 struct RunSpec
 {
-    /** Poisson arrival rate of inference requests (0 = training only). */
+    /** Poisson arrival rate of service 0 (0 = training only). */
     double arrival_rate_per_s = 0.0;
     /**
      * Per-service arrival rates (install order); when non-empty this
      * overrides arrival_rate_per_s and drives multiple inference
-     * contexts concurrently.
+     * contexts concurrently. Service i draws its candidates from
+     * ArrivalStream index i of `seed`.
      */
     std::vector<double> arrival_rates;
     ArrivalProcess arrival_process = ArrivalProcess::Poisson;
@@ -85,21 +86,14 @@ struct RunSpec
     /** Bursty mode: on/off modulation period in seconds. */
     double burst_period_s = 2e-3;
     /**
-     * Explicit arrival trace for service 0 (seconds, ascending); when
-     * non-empty it replaces the stochastic arrival process entirely
-     * and the run ends when the trace drains.
-     */
-    std::vector<double> arrival_trace_s;
-    /**
      * Explicit arrival-candidate trace for service 0 in clock cycles
-     * (ascending); when non-empty it replaces service 0's stochastic
-     * inter-arrival draws but keeps everything else -- chained
-     * scheduling, bursty thinning, shedding -- so a run fed the exact
-     * candidate ticks a stochastic run would have drawn is
-     * byte-identical to it. This is the cluster router's feed: the
-     * router splits one global arrival stream into per-replica traces.
-     * Unlike arrival_trace_s (scheduled up front, thinning skipped),
-     * entries here are candidates, not admissions.
+     * (ascending); when non-empty it replaces service 0's arrival
+     * stream candidate for candidate but keeps everything else --
+     * chained scheduling, bursty thinning, shedding -- so a run fed
+     * the exact candidate ticks a stochastic run would have drawn is
+     * byte-identical to it. Entries are candidates, not admissions.
+     * This is the cluster router's feed: the router splits one global
+     * arrival stream into per-replica traces.
      */
     std::vector<Tick> arrival_trace_ticks;
     /** Requests completed before measurement starts. */

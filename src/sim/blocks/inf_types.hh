@@ -32,8 +32,7 @@ struct InfService
     ContextId id = 0;
     InferenceServiceDesc desc;
     Tick timeout_cycles = 0;      //!< adaptive batch-formation threshold
-    double rate_per_cycle = 0.0;  //!< Poisson arrival rate
-    Rng rng{1};
+    ArrivalStream arrivals;       //!< this service's arrival candidates
     /**
      * Arrival ticks awaiting batching. A growable ring instead of
      * std::deque: arrival + batch-forming churn it on every request,

@@ -97,9 +97,6 @@ RequestDispatcher::beginRun()
     if (!ctx.spec.arrival_trace_ticks.empty()) {
         EQX_ASSERT(!ctx.services.empty(),
                    "arrival trace needs an inference service");
-        EQX_ASSERT(ctx.spec.arrival_trace_s.empty(),
-                   "arrival_trace_ticks and arrival_trace_s are "
-                   "mutually exclusive");
         Tick prev = 0;
         for (Tick t : ctx.spec.arrival_trace_ticks) {
             EQX_ASSERT(t >= prev, "tick trace must be ascending");
@@ -112,7 +109,6 @@ RequestDispatcher::beginRun()
         auto &svc = *ctx.services[i];
         svc.pending.clear();
         svc.timeout_armed = false;
-        svc.rng = Rng(ctx.spec.seed * 7919 + svc.id + 1);
         double rate = 0.0;
         if (!ctx.spec.arrival_rates.empty()) {
             if (i < ctx.spec.arrival_rates.size())
@@ -120,62 +116,43 @@ RequestDispatcher::beginRun()
         } else if (i == 0) {
             rate = ctx.spec.arrival_rate_per_s;
         }
-        svc.rate_per_cycle = rate / ctx.cfg.frequency_hz;
+        // Bursty mode samples candidates at the peak rate and thins
+        // them to the on-phase at arrival time (Lewis-Shedler
+        // thinning), giving an on/off-modulated Poisson process with
+        // the configured mean.
+        double rate_per_cycle = rate / ctx.cfg.frequency_hz;
+        if (ctx.spec.arrival_process == ArrivalProcess::Bursty)
+            rate_per_cycle *= ctx.spec.burst_factor;
+        svc.arrivals =
+            ArrivalStream(rate_per_cycle, ctx.spec.seed, svc.id, kTickMax);
         ctx.inference_load = ctx.inference_load || rate > 0.0;
         if (i == 0 && !ctx.spec.arrival_trace_ticks.empty())
             ctx.inference_load = true;
         scheduleNextArrival(i);
-    }
-
-    if (!ctx.spec.arrival_trace_s.empty()) {
-        EQX_ASSERT(!ctx.services.empty(),
-                   "arrival trace needs an inference service");
-        ctx.inference_load = true;
-        double prev = -1.0;
-        for (double t : ctx.spec.arrival_trace_s) {
-            EQX_ASSERT(t >= 0.0 && t >= prev,
-                       "arrival trace must be ascending");
-            prev = t;
-            ctx.events.schedule(
-                units::secondsToCycles(t, ctx.cfg.frequency_hz),
-                [this] { onRequestArrival(0); });
-        }
     }
 }
 
 void
 RequestDispatcher::scheduleNextArrival(std::size_t svc_idx)
 {
-    auto &svc = *ctx.services[svc_idx];
-    if (!ctx.spec.arrival_trace_s.empty() && svc_idx == 0)
-        return; // trace playback schedules arrivals up front
-    if (!ctx.spec.arrival_trace_ticks.empty() && svc_idx == 0) {
-        // Chained tick-trace playback: the handler for one candidate
-        // schedules the next, exactly where the stochastic modes
-        // draw-and-schedule, so the event insertion sequence (and thus
-        // same-tick FIFO order) matches a stochastic run that drew the
-        // same candidate ticks. Bursty thinning and shedding still
-        // apply at arrival time, also mirroring the stochastic path.
-        if (ctx.stopping ||
-            trace_pos >= ctx.spec.arrival_trace_ticks.size())
+    if (ctx.stopping)
+        return;
+    // Every call runs at the previous candidate's tick (or at tick 0 in
+    // beginRun), so scheduling the candidate at its absolute tick keeps
+    // the event insertion sequence -- and thus same-tick FIFO order --
+    // of drawing one wait at a time. A tick trace for service 0 replaces
+    // its stream candidate for candidate; bursty thinning and shedding
+    // still apply at arrival time, so a run fed the ticks a stochastic
+    // run would have drawn is byte-identical to it.
+    Tick t = 0;
+    if (svc_idx == 0 && !ctx.spec.arrival_trace_ticks.empty()) {
+        if (trace_pos >= ctx.spec.arrival_trace_ticks.size())
             return;
-        ctx.events.schedule(ctx.spec.arrival_trace_ticks[trace_pos++],
-                            [this] { onRequestArrival(0); });
+        t = ctx.spec.arrival_trace_ticks[trace_pos++];
+    } else if (!ctx.services[svc_idx]->arrivals.next(t)) {
         return;
     }
-    if (svc.rate_per_cycle <= 0.0 || ctx.stopping)
-        return;
-    // Bursty mode samples candidates at the peak rate and thins them to
-    // the on-phase at arrival time (Lewis-Shedler thinning), giving an
-    // on/off-modulated Poisson process with the configured mean.
-    double rate = svc.rate_per_cycle;
-    if (ctx.spec.arrival_process == ArrivalProcess::Bursty)
-        rate *= ctx.spec.burst_factor;
-    double wait = svc.rng.exponential(rate);
-    auto delta = static_cast<Tick>(wait) + 1;
-    ctx.events.scheduleIn(delta, [this, svc_idx] {
-        onRequestArrival(svc_idx);
-    });
+    ctx.events.schedule(t, [this, svc_idx] { onRequestArrival(svc_idx); });
 }
 
 bool
@@ -198,8 +175,7 @@ RequestDispatcher::onRequestArrival(std::size_t svc_idx)
     if (ctx.stopping)
         return;
     auto &svc = *ctx.services[svc_idx];
-    if ((ctx.spec.arrival_trace_s.empty() || svc_idx != 0) &&
-        !inBurstOnPhase()) {
+    if (!inBurstOnPhase()) {
         // Thinned candidate: no request in the off phase.
         scheduleNextArrival(svc_idx);
         return;

@@ -42,10 +42,12 @@ class RequestDispatcher final : public SimBlock
     void registerStats(stats::StatRegistry &reg) override;
 
     /**
-     * Reset every installed service's run state (queues, RNG streams,
-     * arrival rates from the spec) and schedule the first arrivals --
-     * stochastic per service in install order, then the explicit trace.
-     * Sets ctx.inference_load. Must run before the event loop starts.
+     * Reset every installed service's run state (queues, and an
+     * arrival stream re-seeded from the spec: service i draws stream
+     * i) and schedule each service's first arrival in install order,
+     * service 0's from the tick trace when one is set. Sets
+     * ctx.inference_load. Must run at tick 0, before the event loop
+     * starts.
      */
     void beginRun();
 

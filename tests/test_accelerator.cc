@@ -390,10 +390,8 @@ TEST(BatchTimeout, RearmsAgainstNewFrontAfterQueueDrains)
     Tick timeout = 2 * service;                 // 690 cycles
     accel.installInference(std::move(svc));
 
-    double cyc = 1.0 / cfg.frequency_hz;
     RunSpec spec;
-    spec.arrival_trace_s = {0.0, 100 * cyc,
-                            static_cast<double>(timeout - 1) * cyc};
+    spec.arrival_trace_ticks = {0, 100, timeout - 1};
     spec.warmup_requests = 0;
     spec.measure_requests = 3;
     auto res = accel.run(spec);
@@ -420,12 +418,10 @@ TEST(BatchTimeout, FiringIntoAnEmptyQueueIsHarmless)
     Tick timeout = 2 * service;
     accel.installInference(std::move(svc));
 
-    double cyc = 1.0 / cfg.frequency_hz;
     RunSpec spec;
     // A+B fill a batch before A's timer fires; D arrives long after the
     // stale timer expired and must still get a freshly armed timeout.
-    spec.arrival_trace_s = {0.0, 100 * cyc,
-                            static_cast<double>(3 * timeout) * cyc};
+    spec.arrival_trace_ticks = {0, 100, 3 * timeout};
     spec.warmup_requests = 0;
     spec.measure_requests = 3;
     auto res = accel.run(spec);

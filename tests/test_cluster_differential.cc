@@ -3,6 +3,8 @@
  * Differential tests pinning the cluster layer to the single-chip
  * simulator it is built from:
  *
+ *  - the one arrival generator, ArrivalStream, draws exactly the
+ *    longhand seed recipe for stream indices 0, 1 and 2,
  *  - the tick-trace arrival mode replays a stochastic run
  *    byte-identically (the lemma the router's stream splitting
  *    depends on),
@@ -47,18 +49,21 @@ sweepOptions()
 }
 
 /**
- * Replay the service-0 candidate recipe RequestDispatcher draws when
- * running stochastically: Rng(seed * 7919 + 1), exponential waits at
- * @p rate_per_cycle, `Tick(wait) + 1` increments, one candidate past
- * @p max_ticks. This is the same recipe cluster::CandidateStream
- * implements; the test keeps its own copy so a router regression
- * cannot hide.
+ * Replay the candidate recipe RequestDispatcher draws for service
+ * @p stream when running stochastically: Rng(seed * 7919 + stream + 1),
+ * exponential waits at @p rate_per_cycle, `Tick(wait) + 1` increments,
+ * one candidate past @p max_ticks; nothing when the rate is <= 0. This
+ * is the recipe ArrivalStream implements; the test keeps its own copy
+ * so a regression in the one generator cannot hide.
  */
 std::vector<Tick>
-replayCandidates(std::uint64_t seed, double rate_per_cycle, Tick max_ticks)
+replayCandidates(std::uint64_t seed, double rate_per_cycle, Tick max_ticks,
+                 std::uint64_t stream)
 {
     std::vector<Tick> out;
-    Rng rng(seed * 7919 + 1);
+    if (rate_per_cycle <= 0.0)
+        return out;
+    Rng rng(seed * 7919 + stream + 1);
     Tick t = 0;
     while (true) {
         double wait = rng.exponential(rate_per_cycle);
@@ -82,6 +87,45 @@ runSingle(const sim::RunSpec &spec, const fault::FaultPlan &faults = {})
     sim::RunSpec s = spec;
     s.faults = faults;
     return accel.run(s);
+}
+
+// ---------------------------------------------------------------------
+// The one arrival generator against the longhand recipe, for the
+// cluster's stream 0 and the dispatcher's per-service streams 1 and 2.
+
+TEST(ArrivalStreamReference, MatchesTheRecipeBitForBit)
+{
+    const Tick horizon = 200000;
+    std::vector<std::vector<Tick>> drawn_by_stream;
+    for (std::uint64_t stream : {0u, 1u, 2u}) {
+        for (double rate : {0.0, -1e-3, 2e-3}) {
+            for (std::uint64_t seed : {1u, 17u}) {
+                ArrivalStream arrivals(rate, seed, stream, horizon);
+                std::vector<Tick> drawn;
+                for (Tick t = 0; arrivals.next(t);)
+                    drawn.push_back(t);
+                EXPECT_EQ(drawn,
+                          replayCandidates(seed, rate, horizon, stream))
+                    << "stream " << stream << " rate " << rate
+                    << " seed " << seed;
+                if (rate <= 0.0) {
+                    EXPECT_TRUE(drawn.empty()) << "stream " << stream;
+                    continue;
+                }
+                // The one-past-the-horizon candidate is included and
+                // ends the stream.
+                ASSERT_GE(drawn.size(), 2u);
+                EXPECT_GT(drawn.back(), horizon);
+                EXPECT_LE(drawn[drawn.size() - 2], horizon);
+                if (seed == 1)
+                    drawn_by_stream.push_back(drawn);
+            }
+        }
+    }
+    // Each stream index seeds its own sequence.
+    ASSERT_EQ(drawn_by_stream.size(), 3u);
+    EXPECT_NE(drawn_by_stream[0], drawn_by_stream[1]);
+    EXPECT_NE(drawn_by_stream[1], drawn_by_stream[2]);
 }
 
 // ---------------------------------------------------------------------
@@ -109,7 +153,7 @@ TEST(ClusterLemma, TickTraceReplaysStochasticRun)
     sim::RunSpec traced = spec;
     traced.arrival_trace_ticks = replayCandidates(
         spec.seed, spec.arrival_rate_per_s / cfg.frequency_hz,
-        units::secondsToCycles(spec.max_sim_s, cfg.frequency_hz));
+        units::secondsToCycles(spec.max_sim_s, cfg.frequency_hz), 0);
     sim::SimResult replayed = runSingle(traced);
 
     EXPECT_EQ(testutil::digestOf(replayed),
@@ -145,7 +189,7 @@ TEST(ClusterLemma, TickTraceReplaysBurstyRun)
     traced.arrival_trace_ticks = replayCandidates(
         spec.seed,
         spec.arrival_rate_per_s * spec.burst_factor / cfg.frequency_hz,
-        units::secondsToCycles(spec.max_sim_s, cfg.frequency_hz));
+        units::secondsToCycles(spec.max_sim_s, cfg.frequency_hz), 0);
     sim::SimResult replayed = runSingle(traced);
 
     EXPECT_EQ(testutil::digestOf(replayed),
@@ -173,7 +217,7 @@ TEST(ClusterLemma, TickTraceReplaysFaultPlanRun)
     sim::RunSpec traced = spec;
     traced.arrival_trace_ticks = replayCandidates(
         spec.seed, spec.arrival_rate_per_s / cfg.frequency_hz,
-        units::secondsToCycles(spec.max_sim_s, cfg.frequency_hz));
+        units::secondsToCycles(spec.max_sim_s, cfg.frequency_hz), 0);
     sim::SimResult replayed = runSingle(traced, testutil::densePlan());
 
     EXPECT_EQ(testutil::digestOf(replayed),

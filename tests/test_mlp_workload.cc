@@ -104,7 +104,8 @@ TEST(TracePlayback, ArrivalsFollowTheTrace)
     sim::RunSpec spec;
     std::size_t n = 143;
     for (std::size_t i = 0; i < 2 * n; ++i)
-        spec.arrival_trace_s.push_back(1e-6 * static_cast<double>(i));
+        spec.arrival_trace_ticks.push_back(units::secondsToCycles(
+            1e-6 * static_cast<double>(i), cfg.frequency_hz));
     spec.warmup_requests = 0;
     spec.measure_requests = 2 * n;
     spec.max_sim_s = 1.0;
@@ -119,7 +120,8 @@ TEST(TracePlayback, DeterministicReplay)
     Compiler compiler(cfg);
     sim::RunSpec spec;
     for (std::size_t i = 0; i < 300; ++i)
-        spec.arrival_trace_s.push_back(3e-6 * static_cast<double>(i));
+        spec.arrival_trace_ticks.push_back(units::secondsToCycles(
+            3e-6 * static_cast<double>(i), cfg.frequency_hz));
     spec.warmup_requests = 0;
     spec.measure_requests = 280;
     spec.max_sim_s = 1.0;
@@ -139,7 +141,9 @@ TEST(TracePlaybackDeath, NonAscendingTraceIsFatal)
     auto cfg = equinox500Like();
     Compiler compiler(cfg);
     sim::RunSpec spec;
-    spec.arrival_trace_s = {1e-3, 0.5e-3};
+    spec.arrival_trace_ticks = {
+        units::secondsToCycles(1e-3, cfg.frequency_hz),
+        units::secondsToCycles(0.5e-3, cfg.frequency_hz)};
     spec.measure_requests = 2;
     EXPECT_DEATH(
         {

@@ -707,7 +707,7 @@ referenceCandidates(double rate, std::uint64_t seed, Tick horizon,
 }
 
 std::vector<Tick>
-drain(cluster::CandidateStream stream)
+drain(ArrivalStream stream)
 {
     std::vector<Tick> ticks;
     for (Tick t = 0; stream.next(t);)
@@ -717,7 +717,7 @@ drain(cluster::CandidateStream stream)
     return ticks;
 }
 
-TEST(CandidateStream, EqualsGenerateCandidateTicks)
+TEST(ArrivalStream, EqualsGenerateCandidateTicks)
 {
     const Tick horizon = 400000;
     const std::vector<cluster::RouterSurge> none;
@@ -733,8 +733,7 @@ TEST(CandidateStream, EqualsGenerateCandidateTicks)
                           Case{2e-3, &none}, Case{2e-3, &surges}}) {
         for (std::uint64_t seed : {1u, 2u, 3u}) {
             auto streamed =
-                drain(cluster::CandidateStream(c.rate, seed, horizon,
-                                               *c.surges));
+                drain(ArrivalStream(c.rate, seed, 0, horizon, *c.surges));
             auto vec = cluster::generateCandidateTicks(c.rate, seed,
                                                        horizon, *c.surges);
             EXPECT_EQ(streamed, vec) << "rate " << c.rate;
