@@ -14,6 +14,9 @@
 
 #include <cmath>
 #include <iostream>
+#include <iterator>
+#include <numeric>
+#include <span>
 
 #include "bench_common.hh"
 #include "core/equinox.hh"
@@ -25,22 +28,21 @@ namespace
 
 using namespace equinox;
 
+/** The arithmetic each task trains in, in table-column order. */
+const arith::Encoding kEncodings[] = {arith::Encoding::Fp32,
+                                      arith::Encoding::Bfloat16,
+                                      arith::Encoding::Hbfp8};
+constexpr std::size_t kNumEncodings = std::size(kEncodings);
+
+/** Print one feed-forward task's histories (kEncodings order). */
 void
-runTask(const nn::Dataset &data, const nn::TrainConfig &cfg,
-        bool report_perplexity, const char *title)
+printTask(std::span<const nn::TrainHistory> histories,
+          const nn::TrainConfig &cfg, bool report_perplexity,
+          const char *title)
 {
     bench::section(title);
-    const arith::Encoding encodings[] = {arith::Encoding::Fp32,
-                                         arith::Encoding::Bfloat16,
-                                         arith::Encoding::Hbfp8};
-    std::vector<nn::TrainHistory> histories;
-    for (auto enc : encodings) {
-        auto engine = arith::makeGemmEngine(enc);
-        histories.push_back(nn::trainClassifier(data, *engine, cfg));
-    }
-
     std::vector<std::string> headers{"epoch"};
-    for (auto enc : encodings)
+    for (auto enc : kEncodings)
         headers.push_back(arith::encodingName(enc));
     stats::Table table(headers);
     for (std::size_t e = 0; e < cfg.epochs; ++e) {
@@ -75,78 +77,87 @@ main(int argc, char **argv)
 {
     using namespace equinox;
     setQuietLogging(true);
-    // The convergence study is serial by nature (three encodings train
-    // the same SGD trajectory back to back); the harness still records
-    // the artefact's wall-clock trajectory.
     bench::Harness harness(argc, argv, "fig2_convergence", "Figure 2",
                            "Convergence of hbfp8 vs fp32 (and bfloat16) "
                            "under identical SGD");
 
-    {
-        // (a) image-like classification: validation error per epoch.
-        nn::ClusterDataset data(8, 24, 2048, 1024, 0.35, 1234);
-        nn::TrainConfig cfg;
-        cfg.epochs = 20;
-        cfg.batch_size = 64;
-        cfg.hidden_dims = {96, 48};
-        cfg.sgd.learning_rate = 0.08;
-        cfg.sgd.decay_epochs = {12, 17};
-        runTask(data, cfg, false,
-                "(a) validation error %, image-like classification "
-                "(stand-in for ResNet50/ImageNet)");
-    }
-    {
-        // (b) language-like next-token prediction: perplexity per epoch.
-        nn::MarkovTextDataset data(64, 3, 3072, 1024, 2.5, 4321);
-        nn::TrainConfig cfg;
-        cfg.epochs = 15;
-        cfg.batch_size = 64;
-        cfg.hidden_dims = {96};
-        cfg.hidden_act = nn::Activation::Relu;
-        cfg.sgd.learning_rate = 0.05;
-        cfg.sgd.decay_epochs = {10, 13};
-        runTask(data, cfg, true,
-                "(b) validation perplexity, language-like task "
-                "(stand-in for BERT/Wikipedia)");
-        std::printf("source entropy floor: perplexity %.2f\n",
-                    std::exp(data.sourceEntropy()));
-    }
+    // (a) image-like classification: validation error per epoch.
+    nn::ClusterDataset image(8, 24, 2048, 1024, 0.35, 1234);
+    nn::TrainConfig image_cfg;
+    image_cfg.epochs = 20;
+    image_cfg.batch_size = 64;
+    image_cfg.hidden_dims = {96, 48};
+    image_cfg.sgd.learning_rate = 0.08;
+    image_cfg.sgd.decay_epochs = {12, 17};
 
-    {
-        // (c) recurrent sequence classification trained with BPTT --
-        // the workload family Equinox actually trains (LSTMs); the
-        // identical Elman/BPTT loop runs in each arithmetic.
-        bench::section("(c) validation error %, recurrent sequence task "
-                       "(BPTT, Elman cell)");
-        nn::ChainSequenceDataset data(4, 12, 16, 1536, 512, 2.0, 77);
-        nn::TrainConfig cfg;
-        cfg.epochs = 10;
-        cfg.batch_size = 32;
-        cfg.hidden_dims = {48};
-        cfg.sgd.learning_rate = 0.12;
-        cfg.sgd.decay_epochs = {7, 9};
+    // (b) language-like next-token prediction: perplexity per epoch.
+    nn::MarkovTextDataset text(64, 3, 3072, 1024, 2.5, 4321);
+    nn::TrainConfig text_cfg;
+    text_cfg.epochs = 15;
+    text_cfg.batch_size = 64;
+    text_cfg.hidden_dims = {96};
+    text_cfg.hidden_act = nn::Activation::Relu;
+    text_cfg.sgd.learning_rate = 0.05;
+    text_cfg.sgd.decay_epochs = {10, 13};
 
-        const arith::Encoding encodings[] = {arith::Encoding::Fp32,
-                                             arith::Encoding::Bfloat16,
-                                             arith::Encoding::Hbfp8};
-        std::vector<nn::TrainHistory> histories;
-        for (auto enc : encodings) {
-            auto engine = arith::makeGemmEngine(enc);
-            histories.push_back(
-                nn::trainSequenceClassifier(data, *engine, cfg));
-        }
-        stats::Table table({"epoch", "fp32", "bfloat16", "hbfp8"});
-        for (std::size_t e = 0; e < cfg.epochs; ++e) {
-            std::vector<std::string> row{std::to_string(e + 1)};
-            for (const auto &h : histories)
-                row.push_back(bench::num(h[e].valid_error * 100, 1));
-            table.addRow(row);
-        }
-        table.print(std::cout);
-        std::printf("final error: fp32 %.3f vs hbfp8 %.3f\n",
-                    histories[0].back().valid_error,
-                    histories[2].back().valid_error);
+    // (c) recurrent sequence classification trained with BPTT -- the
+    // workload family Equinox actually trains (LSTMs); the identical
+    // Elman/BPTT loop runs in each arithmetic.
+    nn::ChainSequenceDataset sequence(4, 12, 16, 1536, 512, 2.0, 77);
+    nn::TrainConfig sequence_cfg;
+    sequence_cfg.epochs = 10;
+    sequence_cfg.batch_size = 32;
+    sequence_cfg.hidden_dims = {48};
+    sequence_cfg.sgd.learning_rate = 0.12;
+    sequence_cfg.sgd.decay_epochs = {7, 9};
+
+    // The nine training runs (three tasks x three encodings) are
+    // independent: each has its own GEMM engine and network and reads
+    // its dataset const-only. Results come back in input order, so the
+    // output is byte-identical at any --jobs.
+    std::vector<std::size_t> runs(3 * kNumEncodings);
+    std::iota(runs.begin(), runs.end(), std::size_t{0});
+    auto histories =
+        parallelMap(harness.jobs(), runs, [&](std::size_t i) {
+            auto engine =
+                arith::makeGemmEngine(kEncodings[i % kNumEncodings]);
+            switch (i / kNumEncodings) {
+            case 0:
+                return nn::trainClassifier(image, *engine, image_cfg);
+            case 1:
+                return nn::trainClassifier(text, *engine, text_cfg);
+            default:
+                return nn::trainSequenceClassifier(sequence, *engine,
+                                                   sequence_cfg);
+            }
+        });
+    auto task = [&](std::size_t t) {
+        return std::span<const nn::TrainHistory>(histories)
+            .subspan(t * kNumEncodings, kNumEncodings);
+    };
+
+    printTask(task(0), image_cfg, false,
+              "(a) validation error %, image-like classification "
+              "(stand-in for ResNet50/ImageNet)");
+    printTask(task(1), text_cfg, true,
+              "(b) validation perplexity, language-like task "
+              "(stand-in for BERT/Wikipedia)");
+    std::printf("source entropy floor: perplexity %.2f\n",
+                std::exp(text.sourceEntropy()));
+
+    bench::section("(c) validation error %, recurrent sequence task "
+                   "(BPTT, Elman cell)");
+    const auto seq = task(2);
+    stats::Table table({"epoch", "fp32", "bfloat16", "hbfp8"});
+    for (std::size_t e = 0; e < sequence_cfg.epochs; ++e) {
+        std::vector<std::string> row{std::to_string(e + 1)};
+        for (const auto &h : seq)
+            row.push_back(bench::num(h[e].valid_error * 100, 1));
+        table.addRow(row);
     }
+    table.print(std::cout);
+    std::printf("final error: fp32 %.3f vs hbfp8 %.3f\n",
+                seq[0].back().valid_error, seq[2].back().valid_error);
 
     std::printf("\nShape check: the hbfp8 trajectory tracks fp32 closely "
                 "in all three tasks, as\nthe paper reports for ResNet50 "

@@ -11,8 +11,9 @@
 #   scripts/check.sh --coverage  # build+test the coverage preset, then
 #                                # print per-directory line coverage and
 #                                # fail if src/obs/, src/cluster/,
-#                                # src/fault/, src/mem/, or src/arith/
-#                                # is below 90%
+#                                # src/fault/, src/mem/, src/arith/,
+#                                # src/sim/, src/nn/, src/stats/, or
+#                                # src/common/ is below 90%
 #   scripts/check.sh --resilience # only the overload-resilience
 #                                # control-plane + chaos suites
 #   scripts/check.sh --fleet     # only the fleet-tier suites
@@ -149,8 +150,8 @@ case "${1:-}" in
     run_format_check
     run_preset coverage
     echo "check.sh: per-directory line coverage" \
-         "(gates: src/obs, src/cluster, src/fault, src/mem, src/arith" \
-         ">= 90%)"
+         "(gates: src/obs, src/cluster, src/fault, src/mem, src/arith," \
+         "src/sim, src/nn, src/stats, src/common >= 90%)"
     python3 scripts/coverage_report.py build-coverage
     ;;
   --resilience)

@@ -7,10 +7,12 @@ translation units (a header line is covered if ANY including TU ran
 it), and prints a per-directory table of line coverage under src/.
 
 Exits nonzero when a gated directory falls below its gate (default:
-src/obs, src/cluster, src/fault, src/mem, and src/arith at 90% lines),
-so `scripts/check.sh --coverage` fails the build instead of silently
-shipping untested export, fleet-simulation, resilience control-plane,
-memory-hierarchy, or arithmetic-kernel code.
+src/obs, src/cluster, src/fault, src/mem, src/arith, src/sim, src/nn,
+src/stats, and src/common at 90% lines), so `scripts/check.sh
+--coverage` fails the build instead of silently shipping untested
+export, fleet-simulation, resilience control-plane, memory-hierarchy,
+arithmetic-kernel, event-kernel, training, statistics, or shared
+utility code.
 
 Usage: scripts/coverage_report.py [build_dir] [--gate-dir src/obs]...
                                   [--gate-pct 90]
@@ -92,11 +94,13 @@ def main():
     ap.add_argument("--gate-dir", action="append", default=None,
                     help="directory that must clear --gate-pct "
                          "(repeatable; default: src/obs, src/cluster, "
-                         "src/fault, src/mem, src/arith)")
+                         "src/fault, src/mem, src/arith, src/sim, "
+                         "src/nn, src/stats, src/common)")
     ap.add_argument("--gate-pct", type=float, default=90.0)
     args = ap.parse_args()
     gate_dirs = args.gate_dir or ["src/obs", "src/cluster", "src/fault",
-                                  "src/mem", "src/arith"]
+                                  "src/mem", "src/arith", "src/sim",
+                                  "src/nn", "src/stats", "src/common"]
 
     repo_root = os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))

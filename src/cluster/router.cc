@@ -64,8 +64,18 @@ Router::anyAvailable(Tick t) const
 void
 Router::drainAll(Tick t)
 {
+    // Every estimator drains at the one service rate, and they share
+    // one last-drain tick: pick() drains them all, and assignTo() drains
+    // them all before it assigns. So the drained amount is computed
+    // once, and each estimator's result is bitwise its own drainTo(t).
+    const ReplicaEstimator &first = estimators_.front();
+    EQX_ASSERT(t >= first.lastDrain(), "router time ran backwards");
+    if (t == first.lastDrain())
+        return; // a zero drain leaves every backlog as it is
+    const double drained =
+        static_cast<double>(t - first.lastDrain()) * first.serviceRate();
     for (auto &e : estimators_)
-        e.drainTo(t);
+        e.drainBy(drained, t);
 }
 
 std::size_t
@@ -86,42 +96,49 @@ Router::pickRoundRobin(Tick t)
     return kNoReplica;
 }
 
-double
-Router::metric(std::size_t r) const
-{
-    // LatencyAware ranks by observed window p99; every other policy
-    // (JSQ picks, round-robin hedge alternates) ranks by backlog.
-    return policy_ == RoutingPolicy::LatencyAware
-               ? estimators_[r].windowP99()
-               : estimators_[r].backlog();
-}
-
+template <typename Metric>
 std::size_t
-Router::pickMin(Tick t, bool healthy_only) const
+Router::argmin(Tick t, bool healthy_only, std::size_t exclude,
+               Metric metric) const
 {
     // Strict < with ascending scan: ties break to the lowest index,
     // which the determinism contract (DESIGN.md section 2.4) requires.
+    // Without outages or a filter every replica is available, so the
+    // health check is skipped outright.
+    const bool check = healthy_only && (!outages_.empty() || filter_);
     std::size_t best = kNoReplica;
+    double best_value = 0.0;
     for (std::size_t r = 0; r < replicas_; ++r) {
-        if (healthy_only && !available(r, t))
+        if (r == exclude || (check && !available(r, t)))
             continue;
-        if (best == kNoReplica || metric(r) < metric(best))
+        const double value = metric(estimators_[r]);
+        if (best == kNoReplica || value < best_value) {
             best = r;
+            best_value = value;
+        }
     }
     return best;
+}
+
+std::size_t
+Router::pickMin(Tick t, bool healthy_only, std::size_t exclude) const
+{
+    // LatencyAware ranks by observed window p99; every other policy
+    // (JSQ picks, round-robin hedge alternates) ranks by backlog.
+    if (policy_ == RoutingPolicy::LatencyAware) {
+        return argmin(t, healthy_only, exclude,
+                      [](const ReplicaEstimator &e) {
+                          return e.windowP99();
+                      });
+    }
+    return argmin(t, healthy_only, exclude,
+                  [](const ReplicaEstimator &e) { return e.backlog(); });
 }
 
 std::size_t
 Router::pickAlternate(Tick t, std::size_t exclude) const
 {
-    std::size_t best = kNoReplica;
-    for (std::size_t r = 0; r < replicas_; ++r) {
-        if (r == exclude || !available(r, t))
-            continue;
-        if (best == kNoReplica || metric(r) < metric(best))
-            best = r;
-    }
-    return best;
+    return pickMin(t, true, exclude);
 }
 
 void
@@ -129,6 +146,7 @@ Router::assignTo(std::size_t r, Tick t)
 {
     EQX_ASSERT(r < replicas_, "assignTo names replica ", r, " of ",
                replicas_);
+    drainAll(t);
     estimators_[r].assign(t);
 }
 

@@ -134,7 +134,11 @@ class Router
      */
     std::size_t pickAlternate(Tick t, std::size_t exclude) const;
 
-    /** Account one (hedged) request assigned to @p r at @p t. */
+    /**
+     * Account one (hedged) request assigned to @p r at @p t. Drains
+     * every estimator to @p t first -- a no-op right after a pick()
+     * at @p t, the hedging layer's order.
+     */
     void assignTo(std::size_t r, Tick t);
 
     const std::vector<ReplicaEstimator> &estimators() const
@@ -148,8 +152,11 @@ class Router
   private:
     bool available(std::size_t replica, Tick t) const;
     std::size_t pickRoundRobin(Tick t);
-    double metric(std::size_t r) const;
-    std::size_t pickMin(Tick t, bool healthy_only) const;
+    template <typename Metric>
+    std::size_t argmin(Tick t, bool healthy_only, std::size_t exclude,
+                       Metric metric) const;
+    std::size_t pickMin(Tick t, bool healthy_only,
+                        std::size_t exclude = kNoReplica) const;
 
     RoutingPolicy policy_;
     std::size_t replicas_;

@@ -36,16 +36,6 @@ ReplicaEstimator::ReplicaEstimator(double service_rate_per_cycle,
                "estimator needs a positive service rate");
 }
 
-void
-ReplicaEstimator::drainTo(Tick now)
-{
-    EQX_ASSERT(now >= last_, "estimator time ran backwards");
-    double drained =
-        static_cast<double>(now - last_) * rate_per_cycle_;
-    backlog_ = backlog_ > drained ? backlog_ - drained : 0.0;
-    last_ = now;
-}
-
 double
 ReplicaEstimator::estimatedLatencyCycles() const
 {
@@ -61,12 +51,7 @@ ReplicaEstimator::assign(Tick now)
     recent_.push(estimatedLatencyCycles());
     backlog_ += 1.0;
     ++assigned_;
-    // The window only changes on assignment, so the p99 is refreshed
-    // here once and read for free by every later routing decision. The
-    // window stays sorted, so this is one exactPercentileSorted call --
-    // bit-identical to LatencyTracker::percentile over the same samples
-    // (the policy contract windowP99() documents).
-    window_p99_ = recent_.percentile(0.99);
+    p99_stale_ = true;
 }
 
 } // namespace cluster

@@ -10,7 +10,8 @@
  * real L7 load balancer has (its own accounting, not the server's
  * internals), and it keeps the replicas fully independent so they can
  * run one-per-worker and still merge deterministically (DESIGN.md
- * section 2.4).
+ * section 2.4). An estimator's window p99 is synced lazily, when it is
+ * read, so only the policy that ranks by it pays to keep it sorted.
  */
 
 #ifndef EQUINOX_CLUSTER_ROUTING_POLICY_HH
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "stats/sliding_window.hh"
 
@@ -48,6 +50,13 @@ std::vector<RoutingPolicy> allRoutingPolicies();
  * delay a newly assigned request would see under that model;
  * windowP99() is the p99 of the last `window` such estimates, the
  * "observed p99" the latency-aware policy ranks replicas by.
+ *
+ * Assigning only appends the estimate to the window (an O(1) push).
+ * The p99 is computed when windowP99() is first read after an
+ * assignment and cached until the next one, so a router that never
+ * ranks by p99 (join-shortest-queue, round-robin) never sorts a window,
+ * and the latency-aware router, which reads every replica's p99 on
+ * every pick, syncs one pushed sample per assignment.
  */
 class ReplicaEstimator
 {
@@ -60,7 +69,25 @@ class ReplicaEstimator
     ReplicaEstimator(double service_rate_per_cycle, std::size_t window);
 
     /** Advance the fluid drain to @p now (monotone). */
-    void drainTo(Tick now);
+    void
+    drainTo(Tick now)
+    {
+        EQX_ASSERT(now >= last_, "estimator time ran backwards");
+        drainBy(static_cast<double>(now - last_) * rate_per_cycle_, now);
+    }
+
+    /**
+     * Advance the fluid drain to @p now by @p drained requests, which
+     * the caller computed as (now - lastDrain()) * serviceRate(). Lets
+     * Router::drainAll compute one amount for estimators that share a
+     * rate and a last-drain tick; drainTo() is this with its own.
+     */
+    void
+    drainBy(double drained, Tick now)
+    {
+        backlog_ = backlog_ > drained ? backlog_ - drained : 0.0;
+        last_ = now;
+    }
 
     /** Account one request assigned at @p now (drains first). */
     void assign(Tick now);
@@ -68,15 +95,30 @@ class ReplicaEstimator
     /** Estimated requests in system after the last drain/assign. */
     double backlog() const { return backlog_; }
 
+    /** Tick of the last drain (0 before any). */
+    Tick lastDrain() const { return last_; }
+
+    /** The saturation rate the fluid queue drains at. */
+    double serviceRate() const { return rate_per_cycle_; }
+
     /** Model latency (cycles) a request assigned now would see. */
     double estimatedLatencyCycles() const;
 
     /**
      * p99 of the last `window` assignment-time latency estimates --
      * the same interpolated order statistic stats::LatencyTracker
-     * computes, refreshed once per assignment and read for free.
+     * computes, synced on the first read after an assignment and
+     * cached until the next; 0 before any assignment.
      */
-    double windowP99() const { return window_p99_; }
+    double
+    windowP99() const
+    {
+        if (p99_stale_) {
+            window_p99_ = recent_.percentile(0.99);
+            p99_stale_ = false;
+        }
+        return window_p99_;
+    }
 
     /** Requests assigned to this replica so far. */
     std::uint64_t assigned() const { return assigned_; }
@@ -100,7 +142,8 @@ class ReplicaEstimator
     Tick last_ = 0;
     std::uint64_t assigned_ = 0;
     stats::SlidingWindow recent_;
-    double window_p99_ = 0.0;
+    mutable double window_p99_ = 0.0;
+    mutable bool p99_stale_ = false; //!< recent_ changed since the read
 };
 
 } // namespace cluster

@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <deque>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -98,6 +100,54 @@ TEST(ReplicaEstimator, WindowP99IsOverTheLastWindowEstimates)
     expect.record(200.0);
     expect.record(300.0);
     EXPECT_DOUBLE_EQ(est.windowP99(), expect.percentile(0.99));
+}
+
+TEST(ReplicaEstimator, LazyWindowP99MatchesTheLastWindowEstimates)
+{
+    // A JSQ router never reads windowP99() while routing, so each
+    // estimator's window only collects pushes. The first read after
+    // 3w+ assignments (the control plane's breaker-health read with
+    // latency_trip_cycles > 0) re-sorts the window; later reads after
+    // a few more assignments replay them. Both must equal, bit for
+    // bit, the p99 of the last w estimates collected by hand.
+    const std::size_t replicas = 4;
+    const std::size_t window = 16;
+    cluster::Router router(cluster::RoutingPolicy::JoinShortestQueue,
+                           replicas, 0.002, window, {});
+    std::vector<std::deque<double>> recent(replicas);
+    Rng rng(424242);
+    Tick t = 0;
+    auto route = [&](std::size_t candidates) {
+        for (std::size_t i = 0; i < candidates; ++i) {
+            t += rng.uniformInt(0, 250); // about 100% load
+            std::size_t r = router.pick(t);
+            ASSERT_NE(r, cluster::kNoReplica);
+            recent[r].push_back(
+                router.estimators()[r].lastAssignmentEstimateCycles());
+            if (recent[r].size() > window)
+                recent[r].pop_front();
+        }
+    };
+    auto expectWindowP99 = [&] {
+        for (std::size_t r = 0; r < replicas; ++r) {
+            stats::LatencyTracker tracker;
+            for (double s : recent[r])
+                tracker.record(s);
+            double got = router.estimators()[r].windowP99();
+            double want = tracker.percentile(0.99);
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << "replica " << r << ": " << got << " vs " << want;
+        }
+    };
+
+    route(replicas * window * 6);
+    for (std::size_t r = 0; r < replicas; ++r)
+        ASSERT_GE(router.estimators()[r].assigned(), 3 * window);
+    expectWindowP99();
+    for (int round = 0; round < 8; ++round) {
+        route(rng.uniformInt(1, replicas * window / 2));
+        expectWindowP99();
+    }
 }
 
 // ---------------------------------------------------------------------

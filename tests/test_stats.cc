@@ -614,36 +614,62 @@ referencePercentile(const std::deque<double> &recent, double p)
 
 TEST(SlidingWindow, MatchesCopyAndSortBitwise)
 {
+    // percentile() syncs the sorted copy only when read: fewer than w
+    // pending pushes are replayed one by one, w or more re-sort the
+    // last w samples. Reading after every k pushes, for k = 1 and on
+    // both sides of w, and at seeded random gaps, drives both paths.
     const double inf = std::numeric_limits<double>::infinity();
     for (std::size_t w : {1u, 2u, 64u, 256u}) {
-        for (int mode = 0; mode < 3; ++mode) {
-            Rng rng(1000 + w * 3 + static_cast<std::size_t>(mode));
-            SlidingWindow window(w);
-            std::deque<double> recent;
-            for (int i = 0; i < 3000; ++i) {
-                double x;
-                if (mode == 0)
-                    x = rng.exponential(0.01); // distinct values
-                else if (mode == 1)
-                    x = static_cast<double>(rng.uniformInt(0, 4));
-                else // heavy duplicates plus +inf samples
-                    x = rng.uniform() < 0.2
-                            ? inf
-                            : static_cast<double>(rng.uniformInt(1, 3));
-                window.push(x);
-                recent.push_back(x);
-                if (recent.size() > w)
-                    recent.pop_front();
+        std::vector<std::size_t> gaps = {1, w, w + 1, 3 * w};
+        if (w > 1)
+            gaps.push_back(w - 1);
+        gaps.push_back(0); // 0: a fresh random gap in [1, 3w + 1]
+        for (std::size_t gap : gaps) {
+            for (int mode = 0; mode < 3; ++mode) {
+                Rng rng(1000 + w * 3 + static_cast<std::size_t>(mode) +
+                        gap * 7);
+                SlidingWindow window(w);
+                std::deque<double> recent;
+                auto nextGap = [&] {
+                    return gap ? gap
+                               : static_cast<std::size_t>(
+                                     rng.uniformInt(1, 3 * w + 1));
+                };
+                std::size_t until_read = nextGap();
+                const std::size_t pushes =
+                    std::max<std::size_t>(3000, 12 * w);
+                for (std::size_t i = 0; i < pushes; ++i) {
+                    double x;
+                    if (mode == 0)
+                        x = rng.exponential(0.01); // distinct values
+                    else if (mode == 1)
+                        x = static_cast<double>(rng.uniformInt(0, 4));
+                    else // heavy duplicates plus +inf samples
+                        x = rng.uniform() < 0.2
+                                ? inf
+                                : static_cast<double>(
+                                      rng.uniformInt(1, 3));
+                    window.push(x);
+                    recent.push_back(x);
+                    if (recent.size() > w)
+                        recent.pop_front();
 
-                ASSERT_EQ(window.size(), recent.size());
-                ASSERT_EQ(window.back(), recent.back());
-                for (double p : {0.0, 0.5, 0.99, 1.0}) {
-                    double got = window.percentile(p);
-                    double want = referencePercentile(recent, p);
-                    // Bitwise: memcmp-equal, which also equates +inf.
-                    ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
-                        << "w " << w << " mode " << mode << " push " << i
-                        << " p " << p << ": " << got << " vs " << want;
+                    ASSERT_EQ(window.size(), recent.size());
+                    ASSERT_EQ(window.back(), recent.back());
+                    if (--until_read > 0)
+                        continue;
+                    until_read = nextGap();
+                    for (double p : {0.0, 0.5, 0.99, 1.0}) {
+                        double got = window.percentile(p);
+                        double want = referencePercentile(recent, p);
+                        // Bitwise: memcmp-equal, which also equates
+                        // +inf.
+                        ASSERT_EQ(std::memcmp(&got, &want, sizeof got),
+                                  0)
+                            << "w " << w << " gap " << gap << " mode "
+                            << mode << " push " << i << " p " << p
+                            << ": " << got << " vs " << want;
+                    }
                 }
             }
         }
