@@ -4,16 +4,18 @@
  * faithful reimplementation of the pre-refactor kernel (a binary heap
  * of std::function callbacks, re-heapified on every dispatch).
  *
- * The workload is shaped like the accelerator's hot path, not like a
- * synthetic heap test: callbacks capture 24 bytes of state (a block
- * pointer plus two operands -- past std::function's inline buffer,
- * inside Callback's), arrivals cluster into same-tick bursts the way
- * batch wakeups and chunk completions do, and a fraction of handlers
- * self-schedule follow-ups at the current tick (the tryDispatch
- * re-poke pattern). Both kernels run the byte-identical workload and
- * must produce the same checksum and dispatch count; the figure of
- * merit is the events/s ratio, recorded in BENCH_event_kernel.json
- * (acceptance: >= 3x).
+ * The workload is the stress case for the queue's same-tick FIFO path:
+ * callbacks capture 24 bytes of state (a block pointer plus two
+ * operands -- past std::function's inline buffer, inside Callback's),
+ * every tick is a 512-event burst, and every firing fans out three
+ * follow-ups at the current tick. The simulator itself sits at the
+ * other end: on perfbench chip_colocated 99.9% of the ticks the heap
+ * opens hold one event, 1-10 events are pending, and no schedule lands
+ * in the open tick -- the one-event-tick path, which micro_kernels'
+ * BM_EventQueueSteady measures. Both kernels run the byte-identical
+ * workload and must produce the same checksum and dispatch count; the
+ * figure of merit is the events/s ratio, recorded in
+ * BENCH_event_kernel.json (acceptance: >= 3x).
  */
 
 #include <algorithm>
@@ -34,14 +36,12 @@ namespace
 /**
  * Workload shape shared by both kernels: a bounded set of concurrent
  * "actors" (blocks with periodic wakeups) that keep the pending set
- * small and steady -- the simulator's regime -- instead of pre-loading
- * one huge heap, which would just time the shared O(log n) cost.
- * Every actor fires on the same tick grid, so each tick is a
- * width-sized same-tick burst, and each firing fans out three
- * current-tick micro-callbacks -- the retire/wakeup sub-steps the
- * block layer folds into one tick. Those never touch the time heap in
- * the batched kernel; the reference kernel pays a full heap round
- * trip and a std::function allocation for every one.
+ * steady instead of pre-loading one huge heap, which would just time
+ * the shared O(log n) cost. Every actor fires on the same tick grid,
+ * so each tick is a width-sized same-tick burst, and each firing fans
+ * out three current-tick micro-callbacks. Those never touch the time
+ * heap in the batched kernel; the reference kernel pays a full heap
+ * round trip and a std::function allocation for every one.
  */
 struct WorkloadSpec
 {
@@ -207,7 +207,7 @@ main(int argc, char **argv)
     bench::Harness harness(
         argc, argv, "event_kernel", "event-kernel microbenchmark",
         "EventQueue (SBO callbacks + batched same-tick dispatch) vs "
-        "the pre-refactor std::function heap on a simulator-shaped "
+        "the pre-refactor std::function heap on a same-tick-burst "
         "workload");
 
     WorkloadSpec spec;

@@ -196,6 +196,41 @@ BM_EventQueueReserved(benchmark::State &state)
 }
 
 void
+BM_EventQueueSteady(benchmark::State &state)
+{
+    // The simulator's measured shape: a few events pending (2-15 on
+    // perfbench chip_colocated), almost every tick holding exactly one,
+    // each handler scheduling one follow-up with a 24-byte closure.
+    // Eight actors on staggered ticks with period 8 give one event per
+    // tick and 8 pending; one iteration is one dispatch.
+    constexpr Tick kPending = 8;
+    struct Actor
+    {
+        sim::EventQueue *q;
+        std::uint64_t *acc;
+        std::uint64_t a;
+
+        void
+        operator()() const
+        {
+            *acc += a;
+            q->scheduleIn(kPending,
+                          Actor{q, acc, a * 6364136223846793005ull + 1});
+        }
+    };
+    static_assert(sizeof(Actor) == 24, "the blocks' closure size");
+    sim::EventQueue q;
+    q.reserve(kPending);
+    std::uint64_t acc = 0;
+    for (Tick t = 0; t < kPending; ++t)
+        q.schedule(t, Actor{&q, &acc, t + 1});
+    for (auto _ : state)
+        benchmark::DoNotOptimize(q.runOne());
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void
 BM_HbmTransfer(benchmark::State &state)
 {
     dram::HbmModel hbm(610e6);
@@ -275,6 +310,7 @@ BENCHMARK(BM_BfpQuantize)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_BfpDot)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_EventQueue)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_EventQueueReserved)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_EventQueueSteady);
 BENCHMARK(BM_HbmTransfer);
 BENCHMARK(BM_LatencyPercentile)->Arg(10000);
 BENCHMARK(BM_CompileLstm);

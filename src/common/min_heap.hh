@@ -6,8 +6,8 @@
  * std::priority_queue hides its container, so callers can neither
  * pre-size it to a known high-water mark nor prove afterwards that the
  * steady state stayed allocation-free, and its const top() forces a
- * copy where pop() here moves the element out (EventQueue's entries
- * are move-only). EventQueue reserves the worst high-water mark a
+ * copy where pop() here moves the element out. EventQueue keeps its
+ * (when, seq, slot) keys here, reserves the worst high-water mark a
  * previous run observed, and reallocations() audits that the reserve
  * held. The cluster control plane's retry heap reserves nothing: it
  * holds only the retries in flight, and highWater() reports its peak.

@@ -240,10 +240,42 @@ Accelerator::installInference(InferenceServiceDesc desc)
     }
     svc->timeout_cycles = units::secondsToCycles(
         desc.service_time_s * cfg.batch_timeout_mult, cfg.frequency_hz);
+    for (const auto &sb : desc.program.steps)
+        svc->chunk_granules.push_back(Datapath::interleaveGranule(sb.mmu));
     svc->desc = std::move(desc);
     ctx.services.push_back(std::move(svc));
     return ctx.services.back()->id;
 }
+
+namespace
+{
+
+/**
+ * Fill @p train's install-time constants from its program and staging
+ * capacity. The dispatcher, datapath and prefetcher read these instead
+ * of recomputing them per call, so each must stay the result of the
+ * same IEEE operations on the same fields, or the golden digests move.
+ */
+void
+deriveTrainingConstants(TrainState &train)
+{
+    for (const auto &sb : train.desc.iteration.steps) {
+        const auto &tw = sb.mmu;
+        TrainStepRate rate;
+        if (tw.stream_bytes > 0 && tw.occupancy > 0) {
+            rate.bpc = static_cast<double>(tw.stream_bytes) /
+                       static_cast<double>(tw.occupancy);
+        }
+        rate.granule = std::max<Tick>(
+            1, tw.occupancy / std::max(1u, tw.instructions));
+        train.step_rates.push_back(rate);
+        train.streams_any = train.streams_any || tw.stream_bytes > 0;
+    }
+    train.prefetch_chunk =
+        TrainPrefetcher::chunkLimit(train.staging_capacity);
+}
+
+} // namespace
 
 ContextId
 Accelerator::installTraining(TrainingServiceDesc desc)
@@ -259,6 +291,7 @@ Accelerator::installTraining(TrainingServiceDesc desc)
                                       ? cfg.mem.scratchpad.totalBytes()
                                       : cfg.stagingBytes();
     ctx.train->desc = std::move(desc);
+    deriveTrainingConstants(*ctx.train);
     // Training's staging buffers take <2% of on-chip SRAM (section 2.2):
     // carved out of the activation buffer's remaining space.
     ContextId id = 1000;

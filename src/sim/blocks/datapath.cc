@@ -125,6 +125,14 @@ Datapath::chargeMmu(const isa::TileWork &tw, Tick cycles,
     breakdown.add(stats::CycleClass::Other, c - working - dummy);
 }
 
+Tick
+Datapath::interleaveGranule(const isa::TileWork &tw)
+{
+    // One instruction's worth of cycles, but never under 64.
+    return std::max<Tick>(tw.occupancy / std::max(1u, tw.instructions),
+                          64);
+}
+
 void
 Datapath::issueInferenceChunk(InfBatch *batch)
 {
@@ -151,11 +159,8 @@ Datapath::issueInferenceChunk(InfBatch *batch)
     // issues at once (no interleaving opportunity exists).
     Tick remaining = sb.mmu.occupancy - batch->issued_in_step;
     Tick chunk = remaining;
-    if (ctx.train) {
-        Tick granule = std::max<Tick>(
-            sb.mmu.occupancy / std::max(1u, sb.mmu.instructions), 64);
-        chunk = std::min(remaining, granule);
-    }
+    if (ctx.train)
+        chunk = std::min(remaining, batch->svc->chunk_granules[batch->step]);
 
     chargeMmu(sb.mmu, chunk, real_frac);
     if (ctx.measuring) {
@@ -273,10 +278,8 @@ Datapath::issueTrainingChunk()
     const auto &tw = train->desc.iteration.steps[train->step].mmu;
     Tick remaining = tw.occupancy - train->issued_in_step;
     Tick chunk = remaining;
-    double bpc = 0.0;
+    const double bpc = train->step_rates[train->step].bpc;
     if (tw.stream_bytes > 0) {
-        bpc = static_cast<double>(tw.stream_bytes) /
-              static_cast<double>(tw.occupancy);
         chunk = std::min(chunk, static_cast<Tick>(train->staged_bytes /
                                                   bpc));
     }

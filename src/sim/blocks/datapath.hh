@@ -51,6 +51,13 @@ class Datapath final : public SimBlock
     /** Occupy the array with the next training chunk. */
     void issueTrainingChunk();
 
+    /**
+     * MMU cycles of one interleaving chunk of @p tw while a training
+     * context shares the array (InfService::chunk_granules, set at
+     * install).
+     */
+    static Tick interleaveGranule(const isa::TileWork &tw);
+
     /** The array is occupied (nothing else may issue). */
     bool mmuBusy() const { return mmu_busy; }
 

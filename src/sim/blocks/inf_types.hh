@@ -34,6 +34,11 @@ struct InfService
     Tick timeout_cycles = 0;      //!< adaptive batch-formation threshold
     ArrivalStream arrivals;       //!< this service's arrival candidates
     /**
+     * Per program step: Datapath::interleaveGranule() of its MMU work,
+     * derived once at install.
+     */
+    std::vector<Tick> chunk_granules;
+    /**
      * Arrival ticks awaiting batching. A growable ring instead of
      * std::deque: arrival + batch-forming churn it on every request,
      * and the ring never allocates after warmup.
@@ -79,11 +84,31 @@ struct InfBatch
     }
 };
 
+/**
+ * Install-time constants of one training step's MMU work, derived once
+ * from the program instead of on every scheduling round.
+ */
+struct TrainStepRate
+{
+    /** Streamed bytes per MMU cycle (0 when the step streams none). */
+    double bpc = 0.0;
+    /** MMU cycles of one instruction, at least 1. */
+    Tick granule = 1;
+};
+
 /** The training service's execution and prefetch state. */
 struct TrainState
 {
     TrainingServiceDesc desc;
     ByteCount staging_capacity = 0;
+    // -- install-time constants (Accelerator::installTraining) ----------
+    /** One entry per step of desc.iteration. */
+    std::vector<TrainStepRate> step_rates;
+    /** Some step streams bytes (the prefetcher has work at all). */
+    bool streams_any = false;
+    /** Largest prefetch transfer the staging capacity allows. */
+    ByteCount prefetch_chunk = 0;
+    // -- dynamic state ---------------------------------------------------
     std::size_t step = 0;
     Tick issued_in_step = 0;
     Tick ready_at = 0;

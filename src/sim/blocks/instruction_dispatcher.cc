@@ -17,11 +17,9 @@ InstructionDispatcher::InstructionDispatcher(SimContext &context)
     : SimBlock(context, "instruction_dispatcher"),
       policy_(makeSchedulingPolicy(context.cfg))
 {
-    // Built once: constructing three std::functions per scheduling
-    // round showed up in profiles. The closures capture only `this`,
-    // which outlives the view.
-    view_.spike = [this] { return spikeDetected(); };
-    view_.queue_low = [this] { return inferenceQueueLow(); };
+    // Built once: constructing a std::function per scheduling round
+    // showed up in profiles. The closure captures only `this`, which
+    // outlives the view.
     view_.pending_work = [this] {
         return requests->pendingInferenceWork();
     };
@@ -133,12 +131,9 @@ InstructionDispatcher::trainingReady() const
         return false;
     if (tw.stream_bytes == 0)
         return true;
-    double bpc = static_cast<double>(tw.stream_bytes) /
-                 static_cast<double>(tw.occupancy);
-    Tick granule = std::max<Tick>(1, tw.occupancy /
-                                         std::max(1u, tw.instructions));
-    granule = std::min(granule, remaining);
-    return train->staged_bytes >= static_cast<double>(granule) * bpc;
+    const TrainStepRate &rate = train->step_rates[train->step];
+    Tick granule = std::min(rate.granule, remaining);
+    return train->staged_bytes >= static_cast<double>(granule) * rate.bpc;
 }
 
 void
@@ -154,11 +149,14 @@ InstructionDispatcher::tryDispatch()
     InfBatch *inf = firstReadyBatch();
     bool train_ok = trainingReady();
 
-    // The policy sees readiness plus lazy (pure) queue predicates and
-    // vetoes service classes; the round-robin and the issue stay here.
+    // The policy sees readiness and the queue signals (pending work
+    // stays a lazy, pure query) and vetoes service classes; the
+    // round-robin and the MMU hand-off stay here.
     view_.now = now;
     view_.inference_ready = inf != nullptr;
     view_.training_ready = train_ok;
+    view_.spike = spikeDetected();
+    view_.queue_low = inferenceQueueLow();
     SchedDecision d = policy_->decide(view_);
     if (!d.allow_inference)
         inf = nullptr;

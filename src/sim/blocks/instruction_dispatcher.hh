@@ -82,9 +82,9 @@ class InstructionDispatcher final : public SimBlock
 
     std::unique_ptr<SchedulingPolicy> policy_;
     /**
-     * Reusable policy view: the lazy predicate closures are built once
-     * per run instead of constructing three std::functions on every
-     * scheduling round; tryDispatch() only refreshes the scalars.
+     * Reusable policy view: the lazy pending-work closure is built once
+     * instead of on every scheduling round; tryDispatch() only
+     * refreshes the scalars.
      */
     SchedulerView view_;
     /**

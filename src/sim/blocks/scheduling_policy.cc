@@ -20,10 +20,10 @@ SchedDecision
 PriorityPolicy::decide(const SchedulerView &view)
 {
     SchedDecision d;
-    if (view.spike()) {
+    if (view.spike) {
         // Load spike: training frozen entirely (section 3.2).
         d.allow_training = false;
-    } else if (!view.queue_low() && view.inference_ready) {
+    } else if (!view.queue_low && view.inference_ready) {
         // Batches backed up: inference issues first; training only
         // fills its dependence gaps (rounds with no ready batch).
         d.allow_training = false;

@@ -2,9 +2,9 @@
  * @file
  * Pluggable execution-unit scheduling policies (Figure 5, section 3.2).
  *
- * Each decision round the instruction dispatcher builds a SchedulerView
- * of the machine -- what is ready, plus lazy predicates for the more
- * expensive queue inspections -- and asks the installed policy which
+ * Each decision round the instruction dispatcher fills a SchedulerView
+ * of the machine -- what is ready, the spike and queue-low signals, and
+ * a lazy count of pending work -- and asks the installed policy which
  * service classes may issue. The dispatcher keeps the round-robin
  * alternation and the actual issue; the policy only vetoes.
  *
@@ -28,8 +28,9 @@ namespace sim
 
 /**
  * What a policy can see of the machine at one decision round. The
- * function members are lazy so a policy only pays for the queue scans
- * it actually consults; all predicates are pure (no side effects).
+ * spike and queue-low signals are O(1) counter reads, filled in every
+ * round; only the pending-work count, a scan the software scheduler
+ * alone consults, stays a lazy (pure) function.
  */
 struct SchedulerView
 {
@@ -39,9 +40,9 @@ struct SchedulerView
     /** Training has staged operands and is dependence-ready. */
     bool training_ready = false;
     /** Load spike: unstarted batches piled past the install threshold. */
-    std::function<bool()> spike;
+    bool spike = false;
     /** At most one batch anywhere and no full raw batch waiting. */
-    std::function<bool()> queue_low;
+    bool queue_low = false;
     /** Raw requests + unfinished batched requests in the pipeline. */
     std::function<std::uint64_t()> pending_work;
 };

@@ -54,6 +54,15 @@ TrainPrefetcher::registerStats(stats::StatRegistry &reg)
                      "operand bytes staged and unconsumed (live)");
 }
 
+ByteCount
+TrainPrefetcher::chunkLimit(ByteCount capacity)
+{
+    // Degrade gracefully when the staging share is smaller than the
+    // preferred burst: fetch in half-capacity chunks instead.
+    return std::min<ByteCount>(kPrefetchChunk,
+                               std::max<ByteCount>(capacity / 2, 512));
+}
+
 void
 TrainPrefetcher::pump()
 {
@@ -75,28 +84,16 @@ TrainPrefetcher::pump()
                 train->mem_read_cursor = 0;
             }
             // Guard against a (synthetic) program with no streamed bytes.
-            bool any = false;
-            for (const auto &s : steps) {
-                if (s.mmu.stream_bytes > 0) {
-                    any = true;
-                    break;
-                }
-            }
-            if (!any)
+            if (!train->streams_any)
                 return;
             continue;
         }
-        // Degrade gracefully when the staging share is smaller than the
-        // preferred burst: fetch in half-capacity chunks instead.
-        ByteCount max_chunk = std::min<ByteCount>(
-            kPrefetchChunk,
-            std::max<ByteCount>(train->staging_capacity / 2, 512));
         double occupied = train->staged_bytes + train->inflight_bytes;
-        if (occupied + static_cast<double>(max_chunk) >
+        if (occupied + static_cast<double>(train->prefetch_chunk) >
             static_cast<double>(train->staging_capacity)) {
             return;
         }
-        ByteCount chunk = std::min<ByteCount>(max_chunk,
+        ByteCount chunk = std::min<ByteCount>(train->prefetch_chunk,
                                               step_bytes -
                                                   train->prefetch_off);
         if (banked) {

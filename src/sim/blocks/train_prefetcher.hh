@@ -30,6 +30,12 @@ class TrainPrefetcher final : public SimBlock
     /** Training prefetch granularity over the DRAM interface. */
     static constexpr ByteCount kPrefetchChunk = 256 * 1024;
 
+    /**
+     * Largest prefetch transfer into a staging share of @p capacity
+     * bytes (TrainState::prefetch_chunk, set at install).
+     */
+    static ByteCount chunkLimit(ByteCount capacity);
+
     explicit TrainPrefetcher(SimContext &context);
     ~TrainPrefetcher() override;
 

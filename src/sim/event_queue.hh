@@ -11,8 +11,9 @@
  * events scheduled for the same tick dispatch in exactly the order
  * their schedule()/scheduleIn() calls were made, regardless of which
  * callback made them -- a strict FIFO per tick, implemented by tagging
- * every entry with a global monotonically increasing sequence number.
- * In particular, an event a running callback schedules for the CURRENT
+ * every future-tick entry with a global monotonically increasing
+ * sequence number and appending current-tick ones behind them. In
+ * particular, an event a running callback schedules for the CURRENT
  * tick runs after every same-tick event that was already queued. The
  * simulator's byte-identical replay guarantee (and the golden digests
  * in test_refactor_identity.cc) depends on this: blocks deliberately
@@ -26,19 +27,31 @@
  *    16-byte libstdc++ SBO spilled the common [this, batch, chunk]
  *    capture to the heap on every schedule(). Any other closure is a
  *    compile error.
- *  - Dispatch is batched per tick: advancing to a new tick pops EVERY
- *    entry for that tick off the binary heap once, in (tick, seq)
- *    order, into a flat FIFO that is drained without re-heapifying.
- *    Same-tick schedules made by running callbacks append to the open
- *    FIFO in O(1) instead of round-tripping through the heap. The FIFO
- *    vector is reused across ticks (pool allocation: capacity is
- *    retained when cleared), so tick turnover allocates nothing.
+ *  - Callbacks live in a slot pool, written once by schedule() and
+ *    moved out once by the dispatch. The binary heap sifts only
+ *    24-byte (when, seq, slot) keys, not 64-byte entries carrying the
+ *    callback; freed slots are reused last-in first-out, and
+ *    reserve() sizes the heap and the pool together.
+ *  - Two dispatch paths, picked by the tick of the heap entry behind
+ *    the one being popped. When that entry lands on a LATER tick (the
+ *    simulator's regime: on perfbench chip_colocated 99.9% of the
+ *    ticks the heap opens hold one event, the heap holds 1-10 entries,
+ *    and no schedule lands in the open tick), runOne() pops the top
+ *    and runs it at once; the FIFO is never touched. When it SHARES
+ *    the tick, every other entry of that tick is popped off the heap
+ *    once, in (tick, seq) order, into a flat FIFO of slot numbers that
+ *    is drained without re-heapifying (bench/event_kernel's same-tick
+ *    bursts are the stress case for this path). A schedule() at the
+ *    current tick appends to the FIFO in O(1) instead of
+ *    round-tripping through the heap. The FIFO vector is
+ *    reused across ticks (capacity is retained when cleared), so tick
+ *    turnover allocates nothing.
  *  - Steady-state fast-forward (opt-in, off by default): scheduleFast()
  *    lets a caller sitting in TAIL POSITION of the current event's
  *    callback chain dispatch its child event inline when that child
  *    would provably be the queue's very next dispatch anyway
  *    (canInline()). The simulated clock advances to the child's tick
- *    exactly as refillFifo() would have, so every observable -- trace
+ *    exactly as runOne() would have, so every observable -- trace
  *    ticks, handler order, RNG draw order, final now() -- is
  *    byte-identical to the scheduled path; only the heap round-trip,
  *    the Callback construction, and the runOne() iteration are
@@ -58,6 +71,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/min_heap.hh"
 #include "common/types.hh"
 
@@ -81,8 +95,7 @@ class Callback
     /**
      * Inline capture budget. 32 bytes fits every closure the blocks
      * schedule today (block pointer + batch pointer + chunk is 24
-     * bytes), and keeps a queue Entry (when + seq + callback) at
-     * exactly one 64-byte cache line.
+     * bytes), and keeps a pool slot at 48 bytes.
      */
     static constexpr std::size_t kInlineBytes = 32;
 
@@ -158,18 +171,37 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Pre-allocate storage for @p events pending entries so steady
-     * growth does not reallocate mid-run (the accelerator reserves its
-     * expected high-water mark up front).
+     * Pre-allocate storage for @p events pending entries -- heap keys
+     * and callback slots alike -- so steady growth does not reallocate
+     * mid-run (the accelerator reserves its expected high-water mark up
+     * front).
      */
     void
     reserve(std::size_t events)
     {
         heap_.reserve(events);
+        slots_.reserve(events);
+        free_slots_.reserve(events);
     }
 
     /** Schedule @p cb at absolute tick @p when (>= now). */
-    void schedule(Tick when, Callback cb);
+    void
+    schedule(Tick when, Callback cb)
+    {
+        EQX_ASSERT(when >= now_, "scheduling into the past: ", when, " < ",
+                   now_);
+        const std::uint32_t slot = store(std::move(cb));
+        if (when == now_) {
+            // Appending to the current tick's FIFO preserves the
+            // (tick, seq) order directly: the heap holds no entry at
+            // now_, so every same-tick entry scheduled earlier is
+            // already in the FIFO or dispatched.
+            fifo_.push_back(slot);
+        } else {
+            heap_.push(Key{when, next_seq_++, slot});
+        }
+        noteHighWater();
+    }
 
     /** Schedule @p cb @p delta ticks from now. */
     void
@@ -221,8 +253,8 @@ class EventQueue
      * code that could observe the old now(), schedule into it, or
      * mutate simulation state may run after this call returns up the
      * current dispatch chain. The inline path advances now() exactly
-     * as refillFifo() would and invokes @p fn directly -- no Callback
-     * is materialized and the heap is never touched.
+     * as runOne() would and invokes @p fn directly -- no Callback is
+     * materialized and neither the heap nor the slot pool is touched.
      */
     template <typename Fn>
     void
@@ -230,7 +262,6 @@ class EventQueue
     {
         if (canInline(when)) {
             now_ = when;
-            tick_open_ = true;
             fifo_.clear();
             fifo_head_ = 0;
             ++dispatched_;
@@ -251,8 +282,39 @@ class EventQueue
         scheduleFast(now_ + delta, std::forward<Fn>(fn));
     }
 
-    /** Dispatch the earliest event. @return false when empty. */
-    bool runOne();
+    /**
+     * Dispatch the earliest event. @return false when empty.
+     *
+     * With the open tick's FIFO drained, the heap top opens the next
+     * tick and runs straight from the heap; only when the entry behind
+     * it shares its tick are the rest of that tick moved to the FIFO.
+     */
+    bool
+    runOne()
+    {
+        std::uint32_t slot;
+        if (fifo_head_ < fifo_.size()) {
+            slot = fifo_[fifo_head_++];
+        } else {
+            if (heap_.empty())
+                return false;
+            const Key top = heap_.pop();
+            now_ = top.when;
+            slot = top.slot;
+            fifo_.clear();
+            fifo_head_ = 0;
+            if (!heap_.empty() && heap_.top().when == now_)
+                drainOpenTick();
+        }
+        // Move the callback out and free its slot before invoking: the
+        // callback may schedule more events, which may reuse the slot
+        // or grow the pool.
+        Callback cb = std::move(slots_[slot]);
+        free_slots_.push_back(slot);
+        ++dispatched_;
+        cb();
+        return true;
+    }
 
     bool
     empty() const
@@ -275,11 +337,22 @@ class EventQueue
      */
     std::size_t highWater() const { return high_water_; }
 
-    /** Heap-vector reallocations since construction (reserve audit). */
-    std::uint64_t heapReallocations() const { return heap_.reallocations(); }
+    /**
+     * Reallocations of the key heap plus the callback slot pool since
+     * construction (reserve audit: 0 = reserve() held).
+     */
+    std::uint64_t
+    heapReallocations() const
+    {
+        return heap_.reallocations() + slot_reallocations_;
+    }
 
   private:
-    struct Entry
+    /**
+     * A pending event's heap key: (when, seq) orders the dispatch and
+     * slot names its callback in the pool.
+     */
+    struct Key
     {
         Tick when;
         /**
@@ -289,12 +362,12 @@ class EventQueue
          * scheduling history rather than program order.
          */
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t slot;
     };
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -302,8 +375,24 @@ class EventQueue
         }
     };
 
-    /** Pop every heap entry for the earliest tick into the FIFO. */
-    bool refillFifo();
+    /** Write @p cb into a free slot (the last one freed, if any). */
+    std::uint32_t
+    store(Callback &&cb)
+    {
+        if (!free_slots_.empty()) {
+            const std::uint32_t slot = free_slots_.back();
+            free_slots_.pop_back();
+            slots_[slot] = std::move(cb);
+            return slot;
+        }
+        if (slots_.size() == slots_.capacity())
+            ++slot_reallocations_;
+        slots_.push_back(std::move(cb));
+        return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+
+    /** Move every remaining heap entry of the open tick to the FIFO. */
+    void drainOpenTick();
 
     void
     noteHighWater()
@@ -318,19 +407,24 @@ class EventQueue
      * dispatch sequence is the comparator's alone -- independent of
      * internal heap shape.
      *
-     * Invariant: while a tick is open (tick_open_), the heap holds no
-     * entry with when == now_ -- refillFifo() drained them all, and
-     * schedule() routes new ones to the FIFO. Because seq is globally
-     * monotonic, FIFO append order equals seq order, so draining the
-     * FIFO front-to-back IS (tick, seq) dispatch order.
+     * Invariant: the heap holds no entry with when == now_ -- opening a
+     * tick drains them all, an inline dispatch lands strictly before
+     * the heap top, and schedule() routes new ones to the FIFO. Every
+     * FIFO entry was either drained in seq order or appended after
+     * them, so draining the FIFO front-to-back IS (tick, seq) dispatch
+     * order.
      */
-    ReservedMinHeap<Entry, Later> heap_;
-    /** The open tick's events, drained front-to-back without popping. */
-    std::vector<Entry> fifo_;
+    ReservedMinHeap<Key, Later> heap_;
+    /** The open tick's remaining events (slots), drained in order. */
+    std::vector<std::uint32_t> fifo_;
     std::size_t fifo_head_ = 0;
-    bool tick_open_ = false;
+    /** Callback pool: one slot per pending event. */
+    std::vector<Callback> slots_;
+    /** Free slots of the pool, reused last-in first-out. */
+    std::vector<std::uint32_t> free_slots_;
+    std::uint64_t slot_reallocations_ = 0;
     Tick now_ = 0;
-    std::uint64_t next_seq = 0;
+    std::uint64_t next_seq_ = 0;
     std::uint64_t dispatched_ = 0;
     std::size_t high_water_ = 0;
 

@@ -21,14 +21,6 @@ cycleClassName(CycleClass c)
     }
 }
 
-void
-CycleBreakdown::add(CycleClass c, double cycles)
-{
-    EQX_ASSERT(c < CycleClass::NumClasses, "bad cycle class");
-    EQX_ASSERT(cycles >= 0.0, "negative cycle charge: ", cycles);
-    cycles_[static_cast<std::size_t>(c)] += cycles;
-}
-
 double
 CycleBreakdown::get(CycleClass c) const
 {

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/logging.hh"
+
 namespace equinox
 {
 namespace stats
@@ -46,8 +48,17 @@ const char *cycleClassName(CycleClass c);
 class CycleBreakdown
 {
   public:
-    /** Charge @p cycles to category @p c. */
-    void add(CycleClass c, double cycles);
+    /**
+     * Charge @p cycles to category @p c. Inline: the datapath charges
+     * up to four categories per MMU chunk.
+     */
+    void
+    add(CycleClass c, double cycles)
+    {
+        EQX_ASSERT(c < CycleClass::NumClasses, "bad cycle class");
+        EQX_ASSERT(cycles >= 0.0, "negative cycle charge: ", cycles);
+        cycles_[static_cast<std::size_t>(c)] += cycles;
+    }
 
     /** Total cycles attributed to @p c. */
     double get(CycleClass c) const;

@@ -1,13 +1,15 @@
 /**
  * @file
  * Property suite for the event-kernel hot path: the inline-only
- * Callback, the batched same-tick dispatch FIFO, and the reserved
- * min-heap. These pin the (tick, insertion-order) contract the golden
- * identity digests stand on, under exactly the access patterns the
- * batched kernel optimizes -- current-tick self-scheduling,
- * interleaved schedule()/scheduleIn(), pool reuse across drained
- * ticks -- plus a seeded 10k-event fuzz against a straightforward
- * priority-queue reference model.
+ * Callback, the two dispatch paths (a one-event tick runs straight off
+ * the heap, a multi-entry tick drains into the same-tick FIFO), the
+ * callback slot pool, and the reserved min-heap. These pin the
+ * (tick, insertion-order) contract the golden identity digests stand
+ * on, under exactly the access patterns the kernel optimizes --
+ * current-tick self-scheduling, interleaved schedule()/scheduleIn(),
+ * pool reuse across drained ticks -- plus a seeded fuzz of several
+ * input shapes against a straightforward priority-queue reference
+ * model.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <queue>
 #include <type_traits>
 #include <vector>
@@ -216,6 +219,7 @@ class ModelQueue
     }
 
     Tick now() const { return now_; }
+    std::size_t pending() const { return heap_.size(); }
 
     bool
     runOne()
@@ -252,42 +256,80 @@ class ModelQueue
 };
 
 /**
- * Drive a randomized workload -- future schedules, current-tick
- * followups, short chains -- through either queue and record the
- * (tick, id) dispatch sequence.
+ * One fuzz input shape. The spread of the initial ticks against their
+ * count sets how often a tick holds one event (the heap-top path) or
+ * several (the FIFO path); the follow-up odds set how often a callback
+ * schedules into its own open tick or into a later one.
+ */
+struct FuzzShape
+{
+    const char *name;
+    int seeds;          //!< initial events
+    Tick spread;        //!< initial ticks drawn from [0, spread]
+    std::uint64_t same_tick_every; //!< 1 in N firings: current-tick child
+    std::uint64_t future_every;    //!< 1 in N firings: later-tick child
+    Tick max_delta;     //!< later-tick children land 1..max_delta ahead
+    int budget;         //!< follow-up generations per initial event
+};
+
+/** One dispatch as both queues must see it. */
+struct Dispatch
+{
+    Tick when;
+    int id;
+    std::size_t pending; //!< events still queued when it ran
+    bool
+    operator==(const Dispatch &o) const
+    {
+        return when == o.when && id == o.id && pending == o.pending;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Dispatch &d)
+{
+    return os << "{t=" << d.when << " id=" << d.id << " pending="
+              << d.pending << "}";
+}
+
+/**
+ * Drive a randomized workload of @p shape -- future schedules,
+ * current-tick followups, short chains -- through either queue and
+ * record every dispatch with the queue's pending count.
  */
 template <typename Queue>
-std::vector<std::pair<Tick, int>>
-fuzzRun(Queue &q, std::uint64_t seed, int seeds_count)
+std::vector<Dispatch>
+fuzzRun(Queue &q, std::uint64_t seed, const FuzzShape &shape)
 {
-    std::vector<std::pair<Tick, int>> log;
+    std::vector<Dispatch> log;
     Rng rng(seed);
     int next_id = 0;
-    // Handlers draw follow-up decisions from their own counter stream
-    // so both queues see the identical schedule sequence.
+    // Handlers draw follow-up decisions from a hash of their id so
+    // both queues see the identical schedule sequence.
     std::function<void(int, int)> fire = [&](int id, int budget) {
-        log.emplace_back(q.now(), id);
+        log.push_back(Dispatch{q.now(), id, q.pending()});
         if (budget <= 0)
             return;
-        std::uint64_t h = static_cast<std::uint64_t>(id) * 2654435761u;
-        if (h % 3 == 0) {
+        std::uint64_t h = static_cast<std::uint64_t>(id) * 2654435761u ^
+                          seed;
+        if (h % shape.same_tick_every == 0) {
             int cid = next_id++;
             q.schedule(q.now(), [&fire, cid, budget] {
                 fire(cid, budget - 1);
             });
         }
-        if (h % 5 == 0) {
+        if ((h >> 8) % shape.future_every == 0) {
             int cid = next_id++;
-            Tick delta = 1 + h % 97;
+            Tick delta = 1 + (h >> 16) % shape.max_delta;
             q.schedule(q.now() + delta, [&fire, cid, budget] {
                 fire(cid, budget - 1);
             });
         }
     };
-    for (int i = 0; i < seeds_count; ++i) {
+    for (int i = 0; i < shape.seeds; ++i) {
         int id = next_id++;
-        Tick when = rng.uniformInt(0, 1 << 14);
-        q.schedule(when, [&fire, id] { fire(id, 3); });
+        Tick when = rng.uniformInt(0, shape.spread);
+        q.schedule(when, [&fire, id, &shape] { fire(id, shape.budget); });
     }
     while (q.runOne()) {
     }
@@ -296,14 +338,34 @@ fuzzRun(Queue &q, std::uint64_t seed, int seeds_count)
 
 TEST(EventKernel, FuzzMatchesReferenceModel)
 {
-    for (std::uint64_t seed : {1ull, 29ull, 8191ull}) {
-        EventQueue real;
-        ModelQueue model;
-        auto got = fuzzRun(real, seed, 10000);
-        auto want = fuzzRun(model, seed, 10000);
-        ASSERT_GE(got.size(), 10000u);
-        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
-        EXPECT_EQ(got, want) << "seed " << seed;
+    // Every shape runs through both dispatch paths and reuses pool
+    // slots thousands of times; "sparse" is the simulator's regime
+    // (almost every tick holds one event), "bursty" the same-tick
+    // storms of bench/event_kernel, "mixed" everything in between.
+    const FuzzShape shapes[] = {
+        {"mixed", 10000, Tick{1} << 14, 3, 5, 97, 3},
+        {"sparse", 2000, Tick{1} << 24, 11, 1, 1u << 16, 12},
+        {"sparse_chains", 8, Tick{1} << 10, 16, 1, 1u << 12, 60},
+        {"bursty", 4000, 63, 2, 2, 3, 4},
+        {"self_scheduling", 3000, Tick{1} << 16, 1, 3, 1u << 12, 5},
+    };
+    for (const FuzzShape &shape : shapes) {
+        for (std::uint64_t seed : {1ull, 29ull, 8191ull}) {
+            EventQueue real;
+            ModelQueue model;
+            auto got = fuzzRun(real, seed, shape);
+            auto want = fuzzRun(model, seed, shape);
+            ASSERT_GE(got.size(), static_cast<std::size_t>(shape.seeds))
+                << shape.name << " seed " << seed;
+            ASSERT_EQ(got.size(), want.size())
+                << shape.name << " seed " << seed;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i], want[i])
+                    << shape.name << " seed " << seed << " dispatch " << i;
+            }
+            EXPECT_EQ(real.dispatched(), got.size());
+            EXPECT_TRUE(real.empty());
+        }
     }
 }
 
