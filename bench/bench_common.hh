@@ -70,15 +70,6 @@ struct BenchArgs
     std::size_t jobs = 1;
     std::string trace_path;   //!< `--trace FILE`: Perfetto JSON out
     std::string metrics_path; //!< `--metrics FILE`: snapshot JSON out
-    /**
-     * `--check-exact`: co-simulate every fast-forwarded run against
-     * the cycle-accurate path and die on any digest divergence (see
-     * sim::setCheckExactMode). Roughly doubles the wall clock; the
-     * recorded events/s only counts the fast-forwarded runs, so the
-     * BENCH record stays comparable -- but commit baselines from runs
-     * without it.
-     */
-    bool check_exact = false;
 };
 
 /**
@@ -127,20 +118,15 @@ parseBenchArgs(int &argc, char **argv)
                 (arg.rfind("--metrics", 0) == 0 &&
                  args.metrics_path.empty()))
                 EQX_FATAL(arg, " wants an output path");
-        } else if (arg == "--check-exact") {
-            args.check_exact = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
-                "usage: %s [--jobs N] [--trace FILE] [--metrics FILE] "
-                "[--check-exact]\n"
+                "usage: %s [--jobs N] [--trace FILE] [--metrics FILE]\n"
                 "  --jobs N       worker threads for the sweeps "
                 "(default: EQX_JOBS or hardware concurrency; 1 = "
                 "serial)\n"
                 "  --trace FILE   write a Chrome/Perfetto trace of one "
                 "representative run\n"
-                "  --metrics FILE write the metrics snapshot JSON\n"
-                "  --check-exact  co-simulate every fast-forwarded run "
-                "cycle-accurately and die on digest divergence\n",
+                "  --metrics FILE write the metrics snapshot JSON\n",
                 argv[0]);
             std::exit(0);
         } else {
@@ -176,8 +162,6 @@ class Harness
           events_start_(sim::globalDispatchedEvents()),
           start_(std::chrono::steady_clock::now())
     {
-        if (args_.check_exact)
-            sim::setCheckExactMode(true);
         banner(title, description);
     }
 
@@ -308,7 +292,6 @@ class Harness
         record["events_dispatched"] = events;
         record["events_per_second"] = eps;
         record["jobs"] = static_cast<std::uint64_t>(args_.jobs);
-        record["check_exact"] = args_.check_exact;
         record["points_recorded"] =
             static_cast<std::uint64_t>(point_p99_ms_.count());
         record["latency_p50_ms"] = point_p50_ms_.percentile(0.5);

@@ -1,8 +1,6 @@
 #include "sim/accelerator.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
@@ -12,55 +10,12 @@
 #include "sim/blocks/instruction_dispatcher.hh"
 #include "sim/blocks/request_dispatcher.hh"
 #include "sim/blocks/train_prefetcher.hh"
-#include "sim/result_digest.hh"
 #include "stats/registry.hh"
 
 namespace equinox
 {
 namespace sim
 {
-
-namespace
-{
-
-/**
- * EQX_FASTFORWARD=0 vetoes inline fast-forward process-wide (the
- * escape hatch for bisecting a suspected FF divergence without a
- * rebuild). Read once: flipping the variable mid-process would make
- * back-to-back runs incomparable.
- */
-bool
-fastForwardEnvEnabled()
-{
-    static const bool enabled = [] {
-        const char *v = std::getenv("EQX_FASTFORWARD");
-        return !(v && std::string_view(v) == "0");
-    }();
-    return enabled;
-}
-
-bool
-checkExactEnvDefault()
-{
-    const char *v = std::getenv("EQX_CHECK_EXACT");
-    return v && *v && std::string_view(v) != "0";
-}
-
-bool g_check_exact = checkExactEnvDefault();
-
-} // namespace
-
-void
-setCheckExactMode(bool on)
-{
-    g_check_exact = on;
-}
-
-bool
-checkExactMode()
-{
-    return g_check_exact;
-}
 
 Accelerator::Accelerator(AcceleratorConfig config)
     : cfg(std::move(config)),
@@ -320,42 +275,6 @@ Accelerator::maxRequestRate(ContextId id) const
 SimResult
 Accelerator::run(const RunSpec &run_spec)
 {
-    const bool ff = run_spec.fast_forward && fastForwardEnvEnabled();
-    if (!ff || !checkExactMode())
-        return runOnce(run_spec, ff, /*count_global=*/true);
-
-    // Check-exact: co-simulate the cycle-accurate path first, with
-    // tracing off and without touching the process-global event tally,
-    // and save/restore the one piece of state that deliberately
-    // persists across run() calls (the round-robin cursor) so the
-    // reference run is invisible to everything that follows.
-    RunSpec ref_spec = run_spec;
-    ref_spec.fast_forward = false;
-    TraceSink *saved_trace = ctx.trace;
-    ContextId saved_cursor = dispatcher->lastServedCtx();
-    ctx.trace = nullptr;
-    SimResult ref = runOnce(ref_spec, /*use_ff=*/false,
-                            /*count_global=*/false);
-    ctx.trace = saved_trace;
-    dispatcher->setLastServedCtx(saved_cursor);
-
-    SimResult res = runOnce(run_spec, /*use_ff=*/true,
-                            /*count_global=*/true);
-    const std::uint64_t want = resultDigest(ref);
-    const std::uint64_t got = resultDigest(res);
-    if (want != got) {
-        EQX_FATAL("check-exact: fast-forward result digest ", got,
-                  " diverges from the cycle-accurate digest ", want,
-                  " (seed ", run_spec.seed, ", rate ",
-                  run_spec.arrival_rate_per_s, "/s)");
-    }
-    return res;
-}
-
-SimResult
-Accelerator::runOnce(const RunSpec &run_spec, bool use_ff,
-                     bool count_global)
-{
     EQX_ASSERT(!ctx.services.empty() || ctx.train,
                "run() needs at least one installed service");
     ctx.spec = run_spec;
@@ -420,13 +339,12 @@ Accelerator::runOnce(const RunSpec &run_spec, bool use_ff,
     // event past max_ticks is still dispatched exactly once (the loop
     // checks now() before the NEXT runOne), so inline dispatch may run
     // up to and including max_ticks but never beyond it.
-    ctx.events.setFastForward(use_ff, max_ticks);
+    ctx.events.setFastForward(run_spec.fast_forward, max_ticks);
     faults->scheduleHangs(max_ticks);
     while (!ctx.stopping && !ctx.events.empty() &&
            ctx.events.now() <= max_ticks)
         ctx.events.runOne();
-    if (count_global)
-        addGlobalDispatchedEvents(ctx.events.dispatched());
+    addGlobalDispatchedEvents(ctx.events.dispatched());
     event_reserve_ = std::max(event_reserve_, ctx.events.highWater());
 
     faults->finalizeDowntime();

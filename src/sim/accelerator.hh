@@ -45,16 +45,6 @@ class RequestDispatcher;
 class TraceSink;
 class TrainPrefetcher;
 
-/**
- * Check-exact mode: every fast-forwarded Accelerator::run() first
- * co-simulates the cycle-accurate path (tracing off, global counters
- * untouched) and fails fatally unless the two runs' result digests are
- * bit-identical. Initialised from the EQX_CHECK_EXACT environment
- * variable; the bench harness's --check-exact flag turns it on too.
- */
-void setCheckExactMode(bool on);
-bool checkExactMode();
-
 /** The simulated accelerator (composition root of the blocks). */
 class Accelerator
 {
@@ -78,11 +68,9 @@ class Accelerator
 
     /**
      * Run one experiment; resets all dynamic state first. With
-     * spec.fast_forward (the default, unless EQX_FASTFORWARD=0 vetoes
-     * it) the event kernel dispatches analytically-next events inline
-     * -- byte-identical results, fewer heap round-trips. Under
-     * check-exact mode (see setCheckExactMode) the run is co-simulated
-     * cycle-accurately first and any digest divergence is fatal.
+     * spec.fast_forward (the default) the event kernel dispatches
+     * analytically-next events inline -- byte-identical results, fewer
+     * heap round-trips.
      */
     SimResult run(const RunSpec &spec);
 
@@ -109,12 +97,6 @@ class Accelerator
     void registerStats(stats::StatRegistry &reg);
 
   private:
-    /** One full reset-and-run; run() wraps it with the FF/check-exact
-     * policy. @p count_global gates the process-wide dispatched-event
-     * tally (the check-exact reference run must not inflate it). */
-    SimResult runOnce(const RunSpec &spec, bool use_ff,
-                      bool count_global);
-
     AcceleratorConfig cfg;
 
     /**

@@ -114,10 +114,8 @@ struct RunSpec
      * inline instead of round-tripping them through the event heap.
      * Byte-identical to the cycle-accurate path by construction (see
      * EventQueue::scheduleFast and DESIGN.md section 2.7); on by
-     * default. The EQX_FASTFORWARD=0 environment escape hatch vetoes
-     * it process-wide regardless of this flag; the check-exact mode
-     * (bench --check-exact / EQX_CHECK_EXACT=1) co-simulates both
-     * paths and fails fatally on any digest divergence.
+     * default. false selects the reference path, which schedules every
+     * event through the heap; only the differential tests use it.
      */
     bool fast_forward = true;
     /**

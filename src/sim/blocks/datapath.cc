@@ -141,8 +141,7 @@ Datapath::issueInferenceChunk(InfBatch *batch)
 
     const auto &prog = batch->svc->desc.program;
     const auto &sb = prog.steps[batch->step];
-    double real_frac = static_cast<double>(batch->real) /
-                       static_cast<double>(prog.batch_rows);
+    const double real_frac = batch->real_frac;
 
     if (batch->first_issue == kTickMax) {
         batch->first_issue = now;

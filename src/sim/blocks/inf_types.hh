@@ -60,6 +60,7 @@ struct InfBatch
 {
     InfService *svc = nullptr;
     std::uint32_t real = 0;       //!< real requests (rest is padding)
+    double real_frac = 0.0;       //!< real / the program's batch_rows
     std::vector<Tick> arrivals;
     std::size_t step = 0;
     Tick issued_in_step = 0;      //!< MMU cycles of the step already run
@@ -74,6 +75,7 @@ struct InfBatch
     {
         svc = nullptr;
         real = 0;
+        real_frac = 0.0;
         arrivals.clear();
         step = 0;
         issued_in_step = 0;
@@ -81,6 +83,14 @@ struct InfBatch
         first_issue = kTickMax;
         in_flight = false;
         done = false;
+    }
+
+    /** Hold @p n real requests out of @p rows; fixes real_frac. */
+    void
+    setReal(std::uint32_t n, std::uint32_t rows)
+    {
+        real = n;
+        real_frac = static_cast<double>(n) / static_cast<double>(rows);
     }
 };
 

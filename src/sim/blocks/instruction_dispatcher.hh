@@ -55,14 +55,6 @@ class InstructionDispatcher final : public SimBlock
     /** The datapath started serving @p id (cross-context round-robin). */
     void noteInferenceServed(ContextId id) { last_served_ctx = id; }
 
-    /**
-     * The round-robin cursor, which deliberately persists across runs.
-     * The check-exact harness saves/restores it around its reference
-     * run so the co-simulation is invisible to later runs.
-     */
-    ContextId lastServedCtx() const { return last_served_ctx; }
-    void setLastServedCtx(ContextId id) { last_served_ctx = id; }
-
     /** A dependence-ready batch exists right now (pure query). */
     bool firstReadyBatchWaiting() { return firstReadyBatch() != nullptr; }
 

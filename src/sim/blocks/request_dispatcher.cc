@@ -209,7 +209,7 @@ RequestDispatcher::formFullBatches(InfService &svc)
         InfBatch *batch = ctx.batch_arena.acquire();
         batch->resetForReuse();
         batch->svc = &svc;
-        batch->real = batch_rows;
+        batch->setReal(batch_rows, batch_rows);
         for (std::uint32_t i = 0; i < batch_rows; ++i) {
             batch->arrivals.push_back(svc.pending.front());
             svc.pending.pop_front();
@@ -243,8 +243,9 @@ RequestDispatcher::formPartialBatch(InfService &svc)
     InfBatch *batch = ctx.batch_arena.acquire();
     batch->resetForReuse();
     batch->svc = &svc;
-    batch->real = static_cast<std::uint32_t>(
-        std::min<std::size_t>(svc.pending.size(), batch_rows));
+    batch->setReal(static_cast<std::uint32_t>(std::min<std::size_t>(
+                       svc.pending.size(), batch_rows)),
+                   batch_rows);
     for (std::uint32_t i = 0; i < batch->real; ++i) {
         batch->arrivals.push_back(svc.pending.front());
         svc.pending.pop_front();
@@ -261,7 +262,7 @@ RequestDispatcher::formPartialBatch(InfService &svc)
     if (ctx.measuring) {
         ++batches_formed;
         ++batches_incomplete;
-        batch_fill_sum += static_cast<double>(batch->real) / batch_rows;
+        batch_fill_sum += batch->real_frac;
         ctx.host_bytes_measured += in_bytes;
     }
     emit(TraceEventType::BatchFormed, svc.id, batch->real, batch_rows);

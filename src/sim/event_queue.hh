@@ -46,7 +46,9 @@
  *    round-tripping through the heap. The FIFO vector is
  *    reused across ticks (capacity is retained when cleared), so tick
  *    turnover allocates nothing.
- *  - Steady-state fast-forward (opt-in, off by default): scheduleFast()
+ *  - Steady-state fast-forward (off in a fresh queue; the accelerator
+ *    turns it on for every run except the differential tests'
+ *    reference path, RunSpec::fast_forward = false): scheduleFast()
  *    lets a caller sitting in TAIL POSITION of the current event's
  *    callback chain dispatch its child event inline when that child
  *    would provably be the queue's very next dispatch anyway
@@ -214,10 +216,10 @@ class EventQueue
      * Enable (or disable) steady-state fast-forward. @p limit is the
      * last tick scheduleFast() may inline at: events landing past it
      * are scheduled for real, reproducing the run loop's exactly-one-
-     * event overshoot semantics at the horizon. The accelerator turns
-     * this on per run (RunSpec::fast_forward, EQX_FASTFORWARD=0 to
-     * veto); the queue default is off so the raw contract tests see
-     * the scheduled path.
+     * event overshoot semantics at the horizon. The accelerator sets
+     * this per run from RunSpec::fast_forward (on unless a test asks for
+     * the reference path); the queue default is off so the raw
+     * contract tests see the scheduled path.
      */
     void
     setFastForward(bool on, Tick limit)

@@ -6,8 +6,9 @@
  * This fold is LOAD-BEARING: the golden identity constants in
  * tests/test_refactor_identity.cc were recorded through it (via
  * tests/sim_digest.hh, which delegates here), and the fast-forward
- * exactness harness (Accelerator check-exact mode, the fastpath fuzz
- * suite) compares fast-forwarded and cycle-accurate runs through it.
+ * differential tests (tests/test_fast_forward.cc,
+ * tests/test_mem_differential.cc) compare fast-forwarded and
+ * reference-path runs through it.
  * Never reorder, drop, or add fields without re-recording the goldens
  * -- and the goldens' policy is that they are only re-recorded when
  * simulated behaviour deliberately changes.

@@ -31,11 +31,9 @@ namespace testutil
 {
 
 /**
- * The digest machinery itself moved to src/sim/result_digest.hh so the
- * fast-forward exactness harness (Accelerator check-exact mode) folds
- * the exact same bits as the golden suites; these aliases keep every
- * existing test spelling working. The golden constants below are
- * unchanged -- the move is a pure relocation of the fold.
+ * The digest machinery lives in src/sim/result_digest.hh, next to the
+ * SimResult it folds; these aliases keep every existing test spelling
+ * working.
  */
 using ResultDigest = sim::ResultDigest;
 

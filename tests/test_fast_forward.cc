@@ -17,7 +17,8 @@
  *    accelerators -- fast_forward on vs off -- and must agree on the
  *    full result digest (every SimResult field incl. percentiles and
  *    the fault trace), the dispatch count, and every registered
- *    statistic (the MetricsSnapshot surface).
+ *    statistic (the MetricsSnapshot surface). The same comparison
+ *    runs full size on the Equinox_500us preset with LSTM-2048.
  *
  *  - A cluster differential: a multi-replica run under an active
  *    ChaosPlan with the control plane engaged, fast-forwarded vs
@@ -40,6 +41,7 @@
 #include "cluster_digest.hh"
 #include "common/random.hh"
 #include "core/experiment.hh"
+#include "core/presets.hh"
 #include "fault/chaos_plan.hh"
 #include "sim_digest.hh"
 #include "stats/registry.hh"
@@ -206,6 +208,30 @@ struct CaseOutcome
 };
 
 CaseOutcome
+outcomeOf(sim::Accelerator &accel, const sim::SimResult &res)
+{
+    CaseOutcome out;
+    out.digest = sim::resultDigest(res);
+    out.events = res.events_dispatched;
+    out.inlined = res.events_inlined;
+    stats::StatRegistry reg;
+    accel.registerStats(reg);
+    reg.forEach([&](const std::string &name, double v,
+                    const std::string &) { out.stats[name] = v; });
+    return out;
+}
+
+/** Both engines agree on everything but the inlined tally. */
+void
+expectSameRun(const CaseOutcome &ff, const CaseOutcome &ref)
+{
+    EXPECT_EQ(ref.inlined, 0u);
+    EXPECT_EQ(ff.digest, ref.digest);
+    EXPECT_EQ(ff.events, ref.events);
+    EXPECT_EQ(ff.stats, ref.stats);
+}
+
+CaseOutcome
 runCase(const FuzzCase &c, bool fast_forward)
 {
     auto cfg = testutil::smallConfig("fastpath-fuzz");
@@ -229,17 +255,7 @@ runCase(const FuzzCase &c, bool fast_forward)
         spec.faults = testutil::densePlan();
         spec.faults.seed = c.seed * 13 + 7;
     }
-    auto res = accel.run(spec);
-
-    CaseOutcome out;
-    out.digest = sim::resultDigest(res);
-    out.events = res.events_dispatched;
-    out.inlined = res.events_inlined;
-    stats::StatRegistry reg;
-    accel.registerStats(reg);
-    reg.forEach([&](const std::string &name, double v,
-                    const std::string &) { out.stats[name] = v; });
-    return out;
+    return outcomeOf(accel, accel.run(spec));
 }
 
 TEST(FastForwardDifferential, RandomizedConfigsAreBitIdentical)
@@ -254,12 +270,8 @@ TEST(FastForwardDifferential, RandomizedConfigsAreBitIdentical)
                      std::to_string(c.load_frac) +
                      (c.training ? " +train" : "") +
                      (c.faults ? " +faults" : ""));
-        CaseOutcome ca = runCase(c, false);
         CaseOutcome ff = runCase(c, true);
-        EXPECT_EQ(ca.inlined, 0u);
-        EXPECT_EQ(ff.digest, ca.digest);
-        EXPECT_EQ(ff.events, ca.events);
-        EXPECT_EQ(ff.stats, ca.stats);
+        expectSameRun(ff, runCase(c, false));
         if (ff.inlined > 0)
             ++cases_with_inlining;
     }
@@ -277,11 +289,10 @@ TEST(FastForwardDifferential, GoldenScenarioInlinesAndMatches)
     EXPECT_GT(ff.events_inlined, 0u);
 }
 
-TEST(FastForwardDifferential, EnvEscapeHatchKeepsResultsIdentical)
+TEST(FastForwardDifferential, ReferencePathReproducesGoldenDigest)
 {
-    // EQX_FASTFORWARD=0 is read once per process, so simulate the
-    // veto through the spec flag: a cycle-accurate run of the golden
-    // scenario still produces the golden digest.
+    // The reference path (spec.fast_forward = false, every event through
+    // the heap) run on the golden scenario produces the golden digest.
     auto cfg = testutil::smallConfig();
     cfg.sched_policy = sim::SchedPolicy::Priority;
     workload::Compiler compiler(cfg);
@@ -299,6 +310,50 @@ TEST(FastForwardDifferential, EnvEscapeHatchKeepsResultsIdentical)
     EXPECT_EQ(res.events_inlined, 0u);
     EXPECT_EQ(testutil::digestOf(res),
               testutil::kGoldenFaultFreePriority);
+}
+
+// ---------------------------------------------------------------------
+// Full-size differential: the Equinox_500us preset serving LSTM-2048
+// ---------------------------------------------------------------------
+
+CaseOutcome
+runPreset(double load, bool training, bool fast_forward)
+{
+    static const auto cfg = core::presetConfig(core::Preset::Us500);
+    static const auto inference =
+        workload::Compiler(cfg).compileInference(
+            workload::DnnModel::lstm2048());
+    static const auto train = workload::Compiler(cfg).compileTraining(
+        workload::DnnModel::lstm2048(), 128);
+    sim::Accelerator accel(cfg);
+    accel.installInference(inference);
+    if (training)
+        accel.installTraining(train);
+
+    sim::RunSpec spec;
+    spec.warmup_requests = 300;
+    spec.measure_requests = 3000;
+    spec.seed = 5;
+    spec.arrival_rate_per_s = load * accel.maxRequestRate();
+    spec.fast_forward = fast_forward;
+    return outcomeOf(accel, accel.run(spec));
+}
+
+TEST(FastForwardDifferential, PresetLstm2048IsBitIdentical)
+{
+    struct Point
+    {
+        double load;
+        bool training;
+    };
+    for (Point p : {Point{0.25, false}, Point{0.85, false},
+                    Point{1.04, false}, Point{0.6, true}}) {
+        SCOPED_TRACE("load " + std::to_string(p.load) +
+                     (p.training ? " +train" : ""));
+        CaseOutcome ff = runPreset(p.load, p.training, true);
+        expectSameRun(ff, runPreset(p.load, p.training, false));
+        EXPECT_GT(ff.inlined, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------
