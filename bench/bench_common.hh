@@ -78,15 +78,27 @@ struct BenchArgs
  * variable, else hardware concurrency; 1 forces the exact serial code
  * path); `--trace FILE` exports a Chrome/Perfetto trace of one
  * representative run; `--metrics FILE` exports the machine-readable
- * metrics snapshot. The consumed flags are removed from argv (and
- * argc updated); every other argument stays, in order, for a bench's
- * own parser.
+ * metrics snapshot. `--help` prints the usage and exits 0; any other
+ * argument prints it to stderr and exits 1, so a mistyped flag never
+ * runs silently with defaults.
  */
 inline BenchArgs
-parseBenchArgs(int &argc, char **argv)
+parseBenchArgs(int argc, char **argv)
 {
     BenchArgs args;
     args.jobs = defaultJobs();
+    auto usage = [&](std::FILE *out) {
+        std::fprintf(
+            out,
+            "usage: %s [--jobs N] [--trace FILE] [--metrics FILE]\n"
+            "  --jobs N       worker threads for the sweeps "
+            "(default: EQX_JOBS or hardware concurrency; 1 = "
+            "serial)\n"
+            "  --trace FILE   write a Chrome/Perfetto trace of one "
+            "representative run\n"
+            "  --metrics FILE write the metrics snapshot JSON\n",
+            argv[0]);
+    };
     auto flagValue = [&](int &i, const std::string &arg,
                          const std::string &flag,
                          std::string &out) -> bool {
@@ -100,7 +112,6 @@ parseBenchArgs(int &argc, char **argv)
         }
         return false;
     };
-    int kept = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         std::string value;
@@ -119,34 +130,28 @@ parseBenchArgs(int &argc, char **argv)
                  args.metrics_path.empty()))
                 EQX_FATAL(arg, " wants an output path");
         } else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "usage: %s [--jobs N] [--trace FILE] [--metrics FILE]\n"
-                "  --jobs N       worker threads for the sweeps "
-                "(default: EQX_JOBS or hardware concurrency; 1 = "
-                "serial)\n"
-                "  --trace FILE   write a Chrome/Perfetto trace of one "
-                "representative run\n"
-                "  --metrics FILE write the metrics snapshot JSON\n",
-                argv[0]);
+            usage(stdout);
             std::exit(0);
         } else {
-            argv[kept++] = argv[i];
+            std::fprintf(stderr, "%s: unrecognized argument '%s'\n",
+                         argv[0], argv[i]);
+            usage(stderr);
+            std::exit(1);
         }
     }
-    argv[kept] = nullptr;
-    argc = kept;
     return args;
 }
 
 /**
  * Perf harness every bench binary runs under: prints the artefact
- * banner, consumes `--jobs` / `--trace` / `--metrics` from argv (see
- * parseBenchArgs), and on finish() writes `BENCH_<artifact>.json` --
- * wall-clock seconds, simulation events dispatched, events/second,
- * jobs used, and (when the bench recorded its load points) the
- * simulated latency percentiles and the peak delivered ops rate, so
- * the perf *and* quality trajectory of each artefact is recorded run
- * over run. The BENCH record schema is documented in EXPERIMENTS.md.
+ * banner, parses `--jobs` / `--trace` / `--metrics` from argv and
+ * rejects any other argument (see parseBenchArgs), and on finish()
+ * writes `BENCH_<artifact>.json` -- wall-clock seconds, simulation
+ * events dispatched, events/second, jobs used, and (when the bench
+ * recorded its load points) the simulated latency percentiles and the
+ * peak delivered ops rate, so the perf *and* quality trajectory of
+ * each artefact is recorded run over run. The BENCH record schema is
+ * documented in EXPERIMENTS.md.
  *
  * `--metrics FILE` additionally writes the full obs::MetricsSnapshot
  * (recorded sweeps land under "sweeps.<label>"); `--trace FILE` is
@@ -155,7 +160,7 @@ parseBenchArgs(int &argc, char **argv)
 class Harness
 {
   public:
-    Harness(int &argc, char **argv, std::string artifact,
+    Harness(int argc, char **argv, std::string artifact,
             const std::string &title, const std::string &description)
         : artifact_(std::move(artifact)),
           args_(parseBenchArgs(argc, argv)),
@@ -270,8 +275,6 @@ class Harness
         // since this harness started (sim::resetGlobalSimCounters()
         // exists for callers that want absolute per-run figures; the
         // delta keeps multiple harnesses in one process additive).
-        // Check-exact reference runs never enter the global tally, so
-        // this stays the fast-forwarded runs' count either way.
         std::uint64_t events =
             sim::globalDispatchedEvents() - events_start_;
         double eps = wall_s > 0.0

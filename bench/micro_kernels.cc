@@ -319,17 +319,15 @@ BENCHMARK(BM_CompileResnetTraining);
 int
 main(int argc, char **argv)
 {
-    // The harness consumes the shared bench flags (--jobs, ...) from
-    // argv first; google-benchmark then parses what is left and still
-    // rejects any flag neither of them knows.
+    // google-benchmark consumes its own flags (--benchmark_*) first;
+    // the harness then parses the shared bench flags and rejects
+    // anything neither of them knows.
+    benchmark::Initialize(&argc, argv);
     equinox::bench::Harness harness(argc, argv, "micro_kernels",
                                     "Microbenchmarks",
                                     "Hot-kernel timings (gemm engines, "
                                     "training step, BFP, event queue, "
                                     "compiler)");
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     harness.finish();

@@ -58,7 +58,9 @@ main(int argc, char **argv)
 
         auto compiled = core::compileWorkload(cfg, opts);
         Row row;
-        row.sat_tops = core::saturationOpRate(cfg, model) / 1e12;
+        row.sat_tops =
+            compiled.inference.program.saturationOpRate(cfg.frequency_hz) /
+            1e12;
         row.service_ms = compiled.inference.service_time_s * 1e3;
         row.r = core::runAtLoad(cfg, 0.6, opts, compiled);
         return row;

@@ -282,13 +282,12 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
             trains[order[i]] = 1;
     }
 
-    // Run the replicas, round-robined across min(jobs, n) workers
-    // (strided: a 1024-replica fleet on 8 workers submits 8 tasks, not
-    // 1024). Each run is self-contained (own Accelerator, own trace
-    // slice, optional own sink), so the fan-out is byte-identical to a
-    // serial loop.
+    // Run the replicas on min(jobs, n) workers, each taking the next
+    // unclaimed replica. Each run is self-contained (own Accelerator,
+    // own trace slice, optional own sink), so the fan-out is
+    // byte-identical to a serial loop.
     std::vector<ReplicaOutcome> out(n);
-    parallelForStrided(opts.jobs, n, [&](std::size_t r) {
+    parallelFor(opts.jobs, n, [&](std::size_t r) {
         sim::Accelerator accel(cfg_);
         accel.installInference(compiled.inference);
         if (trains[r])

@@ -227,7 +227,7 @@ class Cluster
 
     /**
      * Run one load point: route the global stream, run every replica
-     * (round-robined across min(opts.jobs, replicas) workers), and
+     * (spread over min(opts.jobs, replicas) workers), and
      * merge in replica order. @p load is the offered fraction of the
      * AGGREGATE saturation rate: load 0.7 on 4 replicas offers
      * 0.7 * 4 * maxRequestRate requests/s fleet-wide.

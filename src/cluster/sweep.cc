@@ -16,8 +16,8 @@ runClusterSweep(const sim::AcceleratorConfig &cfg,
     cluster::Cluster fleet(cfg, cspec);
     // Compile once per (config, options); every point and every
     // replica installs copies of the same descriptors. The replicas
-    // inside each point are the parallel dimension (round-robined
-    // across the worker pool), so the points themselves run in input
+    // inside each point are the parallel dimension (spread over the
+    // workers by parallelFor), so the points themselves run in input
     // order.
     CompiledWorkload compiled = compileWorkload(cfg, opts);
     std::vector<cluster::ClusterPointResult> out;

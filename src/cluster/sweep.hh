@@ -26,10 +26,9 @@ namespace core
 
 /**
  * Run a whole cluster load sweep: the workload compiles once, then
- * each point routes the global stream and time-multiplexes its
- * replicas across min(opts.jobs, replicas) workers (round-robin
- * striding -- a 1024-replica fleet on 8 workers runs 128 replicas per
- * worker, byte-identical to serial). Points run in input order;
+ * each point routes the global stream and runs its replicas on
+ * min(opts.jobs, replicas) workers, each taking the next unclaimed
+ * replica (byte-identical to serial). Points run in input order;
  * results are a pure function of (cfg, cspec, loads, opts).
  */
 std::vector<cluster::ClusterPointResult> runClusterSweep(

@@ -1,8 +1,11 @@
 #include "common/parallel.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <system_error>
+#include <thread>
 
 #include "common/logging.hh"
 
@@ -12,14 +15,9 @@ namespace equinox
 namespace
 {
 
+/** Set on each parallelFor worker thread so nested calls degrade to
+ * serial. */
 thread_local bool t_in_parallel_region = false;
-
-/** RAII marker so nested parallelFor calls degrade to serial. */
-struct RegionGuard
-{
-    RegionGuard() { t_in_parallel_region = true; }
-    ~RegionGuard() { t_in_parallel_region = false; }
-};
 
 } // namespace
 
@@ -44,74 +42,6 @@ inParallelRegion()
     return t_in_parallel_region;
 }
 
-ThreadPool::ThreadPool(std::size_t workers)
-{
-    if (workers == 0)
-        workers = defaultJobs();
-    threads.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i)
-        threads.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        all_done.wait(lock, [this] { return in_flight == 0; });
-        stop = true;
-    }
-    task_ready.notify_all();
-    for (auto &t : threads)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        EQX_ASSERT(!stop, "submit() on a stopping ThreadPool");
-        queue.push_back(std::move(task));
-        ++in_flight;
-    }
-    task_ready.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mtx);
-    all_done.wait(lock, [this] { return in_flight == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mtx);
-            task_ready.wait(lock,
-                            [this] { return stop || !queue.empty(); });
-            if (queue.empty())
-                return; // stop requested and nothing left to drain
-            task = std::move(queue.front());
-            queue.pop_front();
-        }
-        {
-            RegionGuard in_region;
-            task(); // noexcept by contract; escape calls terminate()
-        }
-        bool idle;
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            idle = --in_flight == 0;
-        }
-        if (idle)
-            all_done.notify_all();
-    }
-}
-
 void
 parallelFor(std::size_t jobs, std::size_t n,
             const std::function<void(std::size_t)> &fn)
@@ -129,63 +59,34 @@ parallelFor(std::size_t jobs, std::size_t n,
     }
 
     std::vector<std::exception_ptr> errors(n);
-    {
-        ThreadPool pool(std::min(jobs, n));
-        for (std::size_t i = 0; i < n; ++i) {
-            pool.submit([&fn, &errors, i] {
-                try {
-                    fn(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        t_in_parallel_region = true;
+        for (std::size_t i = next++; i < n; i = next++) {
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
         }
-        pool.wait();
+    };
+    const std::size_t width = std::min(jobs, n);
+    std::vector<std::thread> workers;
+    workers.reserve(width);
+    try {
+        for (std::size_t w = 0; w < width; ++w)
+            workers.emplace_back(work);
+    } catch (const std::system_error &) {
+        // Out of threads: the workers already started still claim every
+        // index, so only a fan-out that started none fails. Either way
+        // no started thread is left unjoined.
+        if (workers.empty())
+            throw;
     }
+    for (auto &t : workers)
+        t.join();
     // Rethrow the lowest-index failure: deterministic regardless of
     // which worker faulted first in wall-clock time.
-    for (auto &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-}
-
-void
-parallelForStrided(std::size_t jobs, std::size_t n,
-                   const std::function<void(std::size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (jobs == 0)
-        jobs = defaultJobs();
-    if (jobs == 1 || n == 1 || inParallelRegion()) {
-        // The exact serial code path, same as parallelFor.
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    std::size_t width = std::min(jobs, n);
-    std::vector<std::exception_ptr> errors(n);
-    {
-        ThreadPool pool(width);
-        for (std::size_t w = 0; w < width; ++w) {
-            pool.submit([&fn, &errors, w, width, n] {
-                // One task per worker slot; indices stride by the pool
-                // width so a worker that hits an error keeps running
-                // its remaining lane (every index gets a verdict, and
-                // the lowest-index rethrow below stays deterministic).
-                for (std::size_t i = w; i < n; i += width) {
-                    try {
-                        fn(i);
-                    } catch (...) {
-                        errors[i] = std::current_exception();
-                    }
-                }
-            });
-        }
-        pool.wait();
-    }
     for (auto &e : errors) {
         if (e)
             std::rethrow_exception(e);

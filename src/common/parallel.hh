@@ -4,9 +4,9 @@
  *
  * Every sweep in this repo (load points, DSE grid cells, fault seeds)
  * runs self-contained simulations: each point builds its own
- * Accelerator and Rng streams and touches nothing shared. ThreadPool /
- * parallelFor fan such sweeps out across worker threads while keeping
- * the results byte-identical to a serial run:
+ * Accelerator and Rng streams and touches nothing shared. parallelFor
+ * fans such sweeps out across worker threads while keeping the results
+ * byte-identical to a serial run:
  *
  *  - results are written by input index, never in completion order;
  *  - the first (lowest-index) exception is rethrown on the caller,
@@ -24,12 +24,8 @@
 #ifndef EQUINOX_COMMON_PARALLEL_HH
 #define EQUINOX_COMMON_PARALLEL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace equinox
@@ -42,76 +38,23 @@ namespace equinox
  */
 std::size_t defaultJobs();
 
-/** True while the calling thread is executing a ThreadPool task. */
+/** True while the calling thread is a parallelFor worker. */
 bool inParallelRegion();
-
-/**
- * A plain work-queue thread pool: N worker threads drain a FIFO of
- * submitted tasks. Tasks must not block on other tasks (the pool has no
- * dependency tracking); wait() blocks the caller until every submitted
- * task has finished.
- */
-class ThreadPool
-{
-  public:
-    /** @param workers worker-thread count; 0 = defaultJobs(). */
-    explicit ThreadPool(std::size_t workers = 0);
-
-    /** Drains outstanding tasks, then joins the workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    std::size_t workerCount() const { return threads.size(); }
-
-    /**
-     * Enqueue @p task. Tasks must catch their own exceptions (the
-     * worker aborts the process on escape — parallelFor wraps its body
-     * accordingly and is the API almost all callers want).
-     */
-    void submit(std::function<void()> task);
-
-    /** Block until all submitted tasks have completed. */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> threads;
-    std::deque<std::function<void()>> queue;
-    std::mutex mtx;
-    std::condition_variable task_ready;
-    std::condition_variable all_done;
-    std::size_t in_flight = 0; //!< queued + currently executing
-    bool stop = false;
-};
 
 /**
  * Run fn(0) .. fn(n-1) across @p jobs workers (0 = defaultJobs()).
  *
  * With jobs == 1, n <= 1, or when already inside a parallel region,
  * this is exactly `for (i = 0; i < n; ++i) fn(i)` on the calling
- * thread. Otherwise min(jobs, n) workers execute the indices; if one
- * or more calls throw, the exception of the lowest index is rethrown
- * after every worker has finished (deterministic, unlike
+ * thread. Otherwise min(jobs, n) threads claim indices from one atomic
+ * counter until none are left, so the fan-out never exceeds the worker
+ * count however large n is. An exception does not stop the other
+ * indices: every index runs, and the exception of the lowest index is
+ * rethrown after every worker has finished (deterministic, unlike
  * first-in-wall-clock).
  */
 void parallelFor(std::size_t jobs, std::size_t n,
                  const std::function<void(std::size_t)> &fn);
-
-/**
- * Like parallelFor, but built for n >> jobs: instead of enqueueing one
- * closure per index (a 1024-replica fleet would queue 1024 heap-backed
- * tasks for 8 workers), exactly W = min(jobs, n) tasks are submitted
- * and task w runs indices w, w + W, w + 2W, ... serially — replicas
- * round-robin across workers and the fan-out is capped at the pool
- * size. The serial path, result placement, and lowest-index exception
- * rethrow contracts are identical to parallelFor, so a strided run is
- * byte-identical to a serial run whenever each fn(i) is self-contained.
- */
-void parallelForStrided(std::size_t jobs, std::size_t n,
-                        const std::function<void(std::size_t)> &fn);
 
 /**
  * Map @p fn over @p inputs with parallelFor; results are collected in

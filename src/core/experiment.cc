@@ -1,9 +1,6 @@
 #include "core/experiment.hh"
 
-#include <cstdio>
 #include <fstream>
-#include <map>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -16,128 +13,6 @@ namespace core
 
 namespace
 {
-
-/** Append a double to a cache key losslessly (hex float). */
-void
-keyDouble(std::string &key, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%a|", v);
-    key += buf;
-}
-
-void
-keyU64(std::string &key, std::uint64_t v)
-{
-    key += std::to_string(v);
-    key += '|';
-}
-
-/**
- * Canonical serialisation of every configuration knob the workload
- * compiler reads. Fields are listed explicitly; when a knob is added
- * to AcceleratorConfig that changes compile output, it must be added
- * here too or the saturation cache can serve stale entries.
- */
-std::string
-configKey(const sim::AcceleratorConfig &cfg)
-{
-    std::string key;
-    keyU64(key, cfg.n);
-    keyU64(key, cfg.m);
-    keyU64(key, cfg.w);
-    keyDouble(key, cfg.frequency_hz);
-    keyU64(key, static_cast<std::uint64_t>(cfg.encoding));
-    keyU64(key, cfg.act_buffer_bytes);
-    keyU64(key, cfg.weight_buffer_bytes);
-    keyU64(key, cfg.instr_buffer_bytes);
-    keyU64(key, cfg.simd_rf_bytes);
-    keyDouble(key, cfg.train_staging_frac);
-    keyU64(key, cfg.simd_lanes);
-    keyU64(key, static_cast<std::uint64_t>(cfg.batch_policy));
-    keyDouble(key, cfg.batch_timeout_mult);
-    keyU64(key, static_cast<std::uint64_t>(cfg.sched_policy));
-    keyU64(key, cfg.spike_threshold_batches);
-    keyDouble(key, cfg.software_turnaround_s);
-    keyDouble(key, cfg.dram.bandwidth_bytes_per_s);
-    keyDouble(key, cfg.dram.latency_s);
-    keyU64(key, cfg.dram.channels);
-    keyDouble(key, cfg.host.bandwidth_bytes_per_s);
-    keyDouble(key, cfg.host.latency_s);
-    keyU64(key, cfg.host.channels);
-    return key;
-}
-
-/** Canonical serialisation of a workload model's compile-relevant
- * fields (the name alone is not trusted: tests build ad-hoc models). */
-std::string
-modelKey(const workload::DnnModel &m)
-{
-    std::string key = m.name;
-    key += '|';
-    keyU64(key, static_cast<std::uint64_t>(m.kind));
-    keyU64(key, m.rnn.hidden);
-    keyU64(key, m.rnn.steps);
-    for (unsigned g : m.rnn.gate_groups)
-        keyU64(key, g);
-    keyDouble(key, m.rnn.simd_passes);
-    for (const auto &l : m.cnn.layers) {
-        keyU64(key, l.c_in);
-        keyU64(key, l.c_out);
-        keyU64(key, l.kernel);
-        keyU64(key, l.out_h);
-        keyU64(key, l.out_w);
-        keyU64(key, l.stride);
-    }
-    keyU64(key, m.cnn.classifier_in);
-    keyU64(key, m.cnn.classifier_out);
-    keyDouble(key, m.cnn.simd_passes);
-    keyU64(key, m.cnn.batch_images);
-    keyU64(key, m.cnn.input_bytes);
-    for (std::size_t d : m.mlp.dims)
-        keyU64(key, d);
-    keyDouble(key, m.mlp.simd_passes);
-    return key;
-}
-
-/** The two scalars an inference compile yields that the analytic
- * queries need; cached per (config, model). */
-struct InferenceSummary
-{
-    double service_time_s = 0.0;
-    double saturation_ops_per_s = 0.0;
-};
-
-InferenceSummary
-cachedInferenceSummary(const sim::AcceleratorConfig &cfg,
-                       const workload::DnnModel &model)
-{
-    static std::map<std::string, InferenceSummary> cache;
-    static std::mutex mtx;
-
-    std::string key = configKey(cfg) + '#' + modelKey(model);
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
-    }
-    // Compile outside the lock: compiles are deterministic pure
-    // functions of the key, so concurrent duplicate work is safe (last
-    // writer stores an identical value) and the lock never serialises
-    // a multi-second compile.
-    workload::Compiler compiler(cfg);
-    auto svc = compiler.compileInference(model);
-    InferenceSummary summary;
-    summary.service_time_s = svc.service_time_s;
-    summary.saturation_ops_per_s =
-        svc.program.saturationOpRate(cfg.frequency_hz);
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        cache.emplace(std::move(key), summary);
-    }
-    return summary;
-}
 
 void
 validateOrDie(const sim::AcceleratorConfig &cfg,
@@ -164,14 +39,17 @@ double
 saturationOpRate(const sim::AcceleratorConfig &cfg,
                  const workload::DnnModel &model)
 {
-    return cachedInferenceSummary(cfg, model).saturation_ops_per_s;
+    workload::Compiler compiler(cfg);
+    return compiler.compileInference(model).program.saturationOpRate(
+        cfg.frequency_hz);
 }
 
 double
 latencyTargetSeconds(const sim::AcceleratorConfig &reference,
                      const workload::DnnModel &model)
 {
-    return 10.0 * cachedInferenceSummary(reference, model).service_time_s;
+    workload::Compiler compiler(reference);
+    return 10.0 * compiler.compileInference(model).service_time_s;
 }
 
 CompiledWorkload

@@ -138,8 +138,8 @@ std::vector<LoadPointResult> runLoadSweep(
 
 /**
  * Analytic saturation inference throughput (ops/s) of cfg on model.
- * Memoised per (cfg, model) in a process-wide keyed cache, so repeated
- * queries (per-load conversions, bench tables) compile once.
+ * Compiles the inference program on every call; a caller that already
+ * holds one reads its `program.saturationOpRate(f)` instead.
  */
 double saturationOpRate(const sim::AcceleratorConfig &cfg,
                         const workload::DnnModel &model);

@@ -229,83 +229,3 @@ TEST(BfpBlock, NarrowerMantissaHasLargerError)
 } // namespace
 } // namespace arith
 } // namespace equinox
-
-// Appended: saturating fixed-point accumulator tests.
-
-#include "arith/fixed_point.hh"
-
-namespace equinox
-{
-namespace arith
-{
-namespace
-{
-
-TEST(SatAccumulator, BasicAccumulation)
-{
-    SatAccumulator<25> acc;
-    acc.add(100);
-    acc.mac(50, -3);
-    EXPECT_EQ(acc.value(), 100 - 150);
-    EXPECT_FALSE(acc.saturated());
-    acc.reset();
-    EXPECT_EQ(acc.value(), 0);
-}
-
-TEST(SatAccumulator, SaturatesAtWidthLimits)
-{
-    SatAccumulator<25> acc;
-    EXPECT_EQ(SatAccumulator<25>::kMax, (1 << 24) - 1);
-    EXPECT_EQ(SatAccumulator<25>::kMin, -(1 << 24));
-    acc.add(SatAccumulator<25>::kMax);
-    acc.add(10); // clips instead of wrapping
-    EXPECT_EQ(acc.value(), SatAccumulator<25>::kMax);
-    EXPECT_TRUE(acc.saturated());
-
-    SatAccumulator<25> neg;
-    neg.add(SatAccumulator<25>::kMin);
-    neg.add(-1);
-    EXPECT_EQ(neg.value(), SatAccumulator<25>::kMin);
-    EXPECT_TRUE(neg.saturated());
-}
-
-TEST(SatAccumulator, RecoversFromSaturationDirectionally)
-{
-    // After clipping high, subtracting moves the value down again (the
-    // hardware keeps accumulating from the clipped value).
-    SatAccumulator<8> acc; // range [-128, 127]
-    acc.add(127);
-    acc.add(100);
-    EXPECT_EQ(acc.value(), 127);
-    acc.add(-27);
-    EXPECT_EQ(acc.value(), 100);
-}
-
-TEST(SatAccumulator, NarrowWidthMacSweep)
-{
-    // Property: a width-W accumulator equals the clamped wide sum.
-    SatAccumulator<12> acc; // range [-2048, 2047]
-    std::int64_t wide = 0;
-    Rng rng(3);
-    for (int i = 0; i < 200; ++i) {
-        auto a = static_cast<std::int32_t>(rng.uniformInt(0, 255)) - 128;
-        auto b = static_cast<std::int32_t>(rng.uniformInt(0, 255)) - 128;
-        acc.mac(a, b);
-        wide += static_cast<std::int64_t>(a) * b;
-        wide = std::clamp<std::int64_t>(wide, -2048, 2047);
-        EXPECT_EQ(acc.value(), wide) << "step " << i;
-    }
-}
-
-TEST(ClampToBits, SymmetricRange)
-{
-    EXPECT_EQ(clampToBits(1000, 8), 127);
-    EXPECT_EQ(clampToBits(-1000, 8), -127); // symmetric, as quantizers
-    EXPECT_EQ(clampToBits(100, 8), 100);
-    EXPECT_EQ(clampToBits(-100, 8), -100);
-    EXPECT_EQ(clampToBits(0, 8), 0);
-}
-
-} // namespace
-} // namespace arith
-} // namespace equinox

@@ -2,14 +2,17 @@
  * @file
  * Unit tests for the deterministic parallel sweep engine
  * (common/parallel): result ordering, exception propagation, the
- * serial fast path, nested-region degradation and the ThreadPool
- * itself.
+ * serial fast path, nested-region degradation and the worker cap.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,65 +27,62 @@ namespace
 
 TEST(DefaultJobs, AtLeastOne) { EXPECT_GE(defaultJobs(), 1u); }
 
-TEST(ThreadPool, RunsEverySubmittedTask)
+TEST(DefaultJobs, ReadsEqxJobs)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { ++count; });
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingTasks)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { ++count; });
-        // No wait(): the destructor must finish the queue.
+    const char *old = std::getenv("EQX_JOBS");
+    const std::string saved = old ? old : "";
+    const std::size_t hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    ::setenv("EQX_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3u);
+    // Anything but a positive integer is warned about and ignored.
+    for (const char *bad : {"0", "-2", "4x", ""}) {
+        ::setenv("EQX_JOBS", bad, 1);
+        EXPECT_EQ(defaultJobs(), hw) << "EQX_JOBS='" << bad << "'";
     }
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ZeroMeansDefaultJobs)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.workerCount(), defaultJobs());
+    if (old)
+        ::setenv("EQX_JOBS", saved.c_str(), 1);
+    else
+        ::unsetenv("EQX_JOBS");
 }
 
 TEST(ParallelFor, ResultsLandAtTheirIndex)
 {
-    for (std::size_t jobs : {1u, 2u, 4u, 16u}) {
+    std::vector<std::size_t> serial(257, 0);
+    parallelFor(1, serial.size(),
+                [&](std::size_t i) { serial[i] = i * i; });
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        ASSERT_EQ(serial[i], i * i) << "i=" << i;
+    // jobs 0 is defaultJobs().
+    for (std::size_t jobs : {0u, 2u, 4u, 5u, 16u, 64u}) {
         std::vector<std::size_t> out(257, 0);
         parallelFor(jobs, out.size(),
                     [&](std::size_t i) { out[i] = i * i; });
-        for (std::size_t i = 0; i < out.size(); ++i)
-            EXPECT_EQ(out[i], i * i) << "jobs=" << jobs << " i=" << i;
+        EXPECT_EQ(out, serial) << "jobs=" << jobs;
     }
 }
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnce)
 {
-    std::vector<std::atomic<int>> hits(1000);
-    parallelFor(8, hits.size(), [&](std::size_t i) { ++hits[i]; });
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    // 1000 indices on 3 and 8 workers: the indices >> workers regime
+    // of a 1024-replica fleet. Workers claim indices from one counter,
+    // so the fan-out stays at most `jobs` threads, none of them the
+    // caller.
+    const auto caller = std::this_thread::get_id();
+    for (std::size_t jobs : {3u, 8u}) {
+        std::vector<std::atomic<int>> hits(1000);
+        std::mutex mtx;
+        std::set<std::thread::id> threads;
+        parallelFor(jobs, hits.size(), [&](std::size_t i) {
+            ++hits[i];
+            std::lock_guard<std::mutex> lock(mtx);
+            threads.insert(std::this_thread::get_id());
+        });
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "jobs=" << jobs << " i=" << i;
+        EXPECT_LE(threads.size(), jobs);
+        EXPECT_EQ(threads.count(caller), 0u);
+    }
 }
 
 TEST(ParallelFor, EmptyRangeIsANoop)
@@ -133,6 +133,29 @@ TEST(ParallelFor, LowestIndexExceptionWins)
             EXPECT_STREQ(e.what(), "boom 3");
         }
     }
+    // Indices 2 and 9 throw on different workers, the higher one
+    // first: index 2 holds its worker until index 9 has thrown, so 9
+    // was claimed by another worker. Index 2's exception still wins.
+    for (int round = 0; round < 20; ++round) {
+        std::atomic<bool> nine_thrown{false};
+        try {
+            parallelFor(4, 12, [&](std::size_t i) {
+                if (i == 2) {
+                    while (!nine_thrown.load())
+                        std::this_thread::yield();
+                    throw std::runtime_error("boom 2");
+                }
+                if (i == 9) {
+                    nine_thrown.store(true);
+                    throw std::runtime_error("boom 9");
+                }
+            });
+            FAIL() << "expected an exception";
+        }
+        catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "boom 2");
+        }
+    }
 }
 
 TEST(ParallelFor, ExceptionDoesNotAbortOtherIndices)
@@ -175,95 +198,6 @@ TEST(ParallelFor, NestedCallDegradesToSerial)
     });
     EXPECT_EQ(inner_total.load(), 8 * 5);
     EXPECT_FALSE(inParallelRegion());
-}
-
-// ---------------------------------------------------------------------
-// parallelForStrided: the fixed-width fan-out behind the cluster
-// replica sweep (one task per worker slot, indices round-robined).
-
-TEST(ParallelForStrided, EveryIndexRunsExactlyOnceFarBeyondWorkers)
-{
-    // 1000 indices over 3 workers: each worker owns ~333 strided
-    // indices -- the replicas >> workers regime parallelFor's
-    // task-per-index shape was never meant for.
-    std::vector<std::atomic<int>> hits(1000);
-    parallelForStrided(3, hits.size(), [&](std::size_t i) { ++hits[i]; });
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ParallelForStrided, ResultsMatchSerialForEveryWidth)
-{
-    std::vector<std::size_t> serial(257, 0);
-    parallelForStrided(1, serial.size(),
-                       [&](std::size_t i) { serial[i] = i * 3 + 1; });
-    for (std::size_t jobs : {2u, 4u, 5u, 64u}) {
-        std::vector<std::size_t> out(257, 0);
-        parallelForStrided(jobs, out.size(),
-                           [&](std::size_t i) { out[i] = i * 3 + 1; });
-        EXPECT_EQ(out, serial) << "jobs=" << jobs;
-    }
-}
-
-TEST(ParallelForStrided, SerialAndSingleItemStayOnCallingThread)
-{
-    const auto caller = std::this_thread::get_id();
-    parallelForStrided(1, 8, [&](std::size_t) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        EXPECT_FALSE(inParallelRegion());
-    });
-    parallelForStrided(8, 1, [&](std::size_t) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-    });
-    bool ran = false;
-    parallelForStrided(4, 0, [&](std::size_t) { ran = true; });
-    EXPECT_FALSE(ran);
-}
-
-TEST(ParallelForStrided, LowestIndexExceptionWinsAcrossStrides)
-{
-    // Indices 2 and 9 throw from DIFFERENT strides (width 4): the
-    // rethrown exception must be index 2's on every replay.
-    for (int round = 0; round < 20; ++round) {
-        try {
-            parallelForStrided(4, 12, [&](std::size_t i) {
-                if (i == 2 || i == 9)
-                    throw std::runtime_error("boom " + std::to_string(i));
-            });
-            FAIL() << "expected an exception";
-        }
-        catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "boom 2");
-        }
-    }
-}
-
-TEST(ParallelForStrided, ExceptionDoesNotAbortOtherIndices)
-{
-    std::vector<std::atomic<int>> hits(100);
-    EXPECT_THROW(parallelForStrided(4, hits.size(),
-                                    [&](std::size_t i) {
-                                        ++hits[i];
-                                        if (i == 5)
-                                            throw std::runtime_error("x");
-                                    }),
-                 std::runtime_error);
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ParallelForStrided, NestedCallDegradesToSerial)
-{
-    std::atomic<int> inner_total{0};
-    parallelForStrided(4, 8, [&](std::size_t) {
-        EXPECT_TRUE(inParallelRegion());
-        const auto worker = std::this_thread::get_id();
-        parallelForStrided(4, 5, [&](std::size_t) {
-            EXPECT_EQ(std::this_thread::get_id(), worker);
-            ++inner_total;
-        });
-    });
-    EXPECT_EQ(inner_total.load(), 8 * 5);
 }
 
 TEST(ParallelMap, CollectsInInputOrder)

@@ -13,7 +13,6 @@
 #include <sstream>
 
 #include "common/random.hh"
-#include "stats/counter.hh"
 #include "stats/cycle_breakdown.hh"
 #include "stats/histogram.hh"
 #include "stats/table.hh"
@@ -24,17 +23,6 @@ namespace stats
 {
 namespace
 {
-
-TEST(Counter, Accumulates)
-{
-    Counter c("reqs");
-    ++c;
-    c += 41;
-    EXPECT_EQ(c.value(), 42u);
-    EXPECT_EQ(c.name(), "reqs");
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(LatencyTracker, EmptyIsZero)
 {
