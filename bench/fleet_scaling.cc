@@ -137,8 +137,7 @@ main(int argc, char **argv)
                    "load 0.7 of aggregate capacity");
     {
         stats::Table table({"replicas", "shards", "agg infer (TOp/s)",
-                            "efficiency", "p99 (ms)", "shard reroutes",
-                            "wall (s)"});
+                            "efficiency", "p99 (ms)", "shard reroutes"});
         std::vector<cluster::ClusterPointResult> points;
         double base_tops = 0.0;
         for (std::size_t replicas : {8, 64, 256, 1024}) {
@@ -172,8 +171,7 @@ main(int argc, char **argv)
                           bench::num(r.aggregate_inference_tops, 3),
                           bench::num(efficiency, 3) + "x",
                           bench::num(r.p99_latency_s * 1e3, 3),
-                          std::to_string(r.shard_rerouted),
-                          bench::num(wall, 2)});
+                          std::to_string(r.shard_rerouted)});
             if (replicas == 64)
                 harness.note("scaling_efficiency_64", efficiency);
             if (replicas == 1024) {
@@ -204,10 +202,8 @@ main(int argc, char **argv)
         auto t0 = std::chrono::steady_clock::now();
         auto r = fleet.run(0.7, opts, compiled);
         double wall = wallSince(t0);
-        std::printf("wall %.2f s: %llu candidates routed, %llu "
-                    "completed, p99 %.3f ms, %llu shard-level "
-                    "reroutes\n",
-                    wall,
+        std::printf("%llu candidates routed, %llu completed, p99 %.3f "
+                    "ms, %llu shard-level reroutes\n",
                     static_cast<unsigned long long>(
                         r.generated_candidates),
                     static_cast<unsigned long long>(

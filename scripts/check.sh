@@ -12,8 +12,9 @@
 #                                # print per-directory line coverage and
 #                                # fail if src/obs/, src/cluster/,
 #                                # src/fault/, src/mem/, src/arith/,
-#                                # src/sim/, src/nn/, src/stats/, or
-#                                # src/common/ is below 90%
+#                                # src/sim/, src/nn/, src/stats/,
+#                                # src/common/, src/workload/, or
+#                                # src/core/ is below 90%
 #   scripts/check.sh --resilience # only the overload-resilience
 #                                # control-plane + chaos suites
 #   scripts/check.sh --fleet     # only the fleet-tier suites
@@ -22,17 +23,17 @@
 #   scripts/check.sh --mem       # only the memory-hierarchy suites
 #                                # (unit+property tier and the
 #                                # passthrough/differential tier)
-#   scripts/check.sh --bench-smoke # build the default preset, run the
-#                                # perf-tracking benches (fig7, event
-#                                # kernel, cluster scaling, overload
-#                                # resilience, fleet scaling, memory
-#                                # hierarchy), require each fresh BENCH
-#                                # record, and diff it against the
-#                                # committed bench/baselines/ (fails on
-#                                # a >10% events/s regression, a missing
-#                                # baseline, or a bench that never wrote
-#                                # its record; widen on noisy runners
-#                                # with EQX_BENCH_TOLERANCE)
+#   scripts/check.sh --bench-smoke [BASE_REV]
+#                                # A/B the perf-tracking benches (fig7,
+#                                # event kernel, cluster scaling,
+#                                # overload resilience, fleet scaling,
+#                                # memory hierarchy) against BASE_REV
+#                                # (default HEAD) with scripts/ab.py:
+#                                # 10 alternating same-host pairs of
+#                                # --jobs=1 wall time each; fails on a
+#                                # >10% median slowdown in >= 8 of 10
+#                                # pairs, a bench that exits nonzero, or
+#                                # a missing or wrong BENCH record
 #   scripts/check.sh --perfbench # build perfbench from source and run
 #                                # its selftest (python3 perfbench/run.py
 #                                # --selftest): the traced cluster
@@ -87,30 +88,11 @@ run_preset() {
 }
 
 run_bench_smoke() {
-    # Perf-regression gate: run the perf-tracking benches serially
-    # (jobs=1 pins the exact dispatch path the digests cover), require
-    # the fresh BENCH record (a bench exiting zero without writing one
-    # -- or writing a stale/wrong-artifact one -- fails here instead of
-    # silently diffing an old file), then diff it against the committed
-    # baseline. bench_compare.py exits nonzero on a missing baseline
-    # too, so a bench added here without a committed record fails
-    # loudly.
-    local benches=(fig7_inference_latency event_kernel cluster_scaling
-                   overload_resilience fleet_scaling memory_hierarchy)
-    echo "check.sh: configure+build preset 'default' (bench smoke)"
-    cmake --preset default
-    cmake --build --preset default -j "$(nproc)" --target "${benches[@]}"
-    local bench
-    for bench in "${benches[@]}"; do
-        echo "check.sh: bench smoke: $bench"
-        rm -f "build/bench/BENCH_$bench.json"
-        (cd build/bench && "./$bench" --jobs=1 >/dev/null)
-        python3 scripts/bench_compare.py --require "$bench" \
-            "build/bench/BENCH_$bench.json"
-        python3 scripts/bench_compare.py \
-            "bench/baselines/BENCH_$bench.json" \
-            "build/bench/BENCH_$bench.json"
-    done
+    # Perf-regression gate: same-host alternating pairs of the working
+    # tree against a base revision (scripts/ab.py builds both sides).
+    python3 scripts/ab.py "${1:-HEAD}" fig7_inference_latency \
+        event_kernel cluster_scaling overload_resilience fleet_scaling \
+        memory_hierarchy
 }
 
 run_perfbench() {
@@ -151,7 +133,8 @@ case "${1:-}" in
     run_preset coverage
     echo "check.sh: per-directory line coverage" \
          "(gates: src/obs, src/cluster, src/fault, src/mem, src/arith," \
-         "src/sim, src/nn, src/stats, src/common >= 90%)"
+         "src/sim, src/nn, src/stats, src/common, src/workload," \
+         "src/core >= 90%)"
     python3 scripts/coverage_report.py build-coverage
     ;;
   --resilience)
@@ -164,7 +147,7 @@ case "${1:-}" in
     run_preset default mem
     ;;
   --bench-smoke)
-    run_bench_smoke
+    run_bench_smoke "${2:-}"
     ;;
   --perfbench)
     run_perfbench
@@ -175,7 +158,7 @@ case "${1:-}" in
     ;;
   *)
     echo "usage: scripts/check.sh" \
-         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke|--perfbench|--format]" >&2
+         "[--asan|--tsan|--coverage|--resilience|--fleet|--mem|--bench-smoke [BASE_REV]|--perfbench|--format]" >&2
     exit 2
     ;;
 esac

@@ -8,11 +8,12 @@ it), and prints a per-directory table of line coverage under src/.
 
 Exits nonzero when a gated directory falls below its gate (default:
 src/obs, src/cluster, src/fault, src/mem, src/arith, src/sim, src/nn,
-src/stats, and src/common at 90% lines), so `scripts/check.sh
---coverage` fails the build instead of silently shipping untested
-export, fleet-simulation, resilience control-plane, memory-hierarchy,
-arithmetic-kernel, event-kernel, training, statistics, or shared
-utility code.
+src/stats, src/common, src/workload, and src/core at 90% lines), so
+`scripts/check.sh --coverage` fails the build instead of silently
+shipping untested export, fleet-simulation, resilience control-plane,
+memory-hierarchy, arithmetic-kernel, event-kernel, training,
+statistics, shared utility, workload-compiler, or experiment-driver
+code.
 
 Usage: scripts/coverage_report.py [build_dir] [--gate-dir src/obs]...
                                   [--gate-pct 90]
@@ -95,12 +96,14 @@ def main():
                     help="directory that must clear --gate-pct "
                          "(repeatable; default: src/obs, src/cluster, "
                          "src/fault, src/mem, src/arith, src/sim, "
-                         "src/nn, src/stats, src/common)")
+                         "src/nn, src/stats, src/common, src/workload, "
+                         "src/core)")
     ap.add_argument("--gate-pct", type=float, default=90.0)
     args = ap.parse_args()
     gate_dirs = args.gate_dir or ["src/obs", "src/cluster", "src/fault",
                                   "src/mem", "src/arith", "src/sim",
-                                  "src/nn", "src/stats", "src/common"]
+                                  "src/nn", "src/stats", "src/common",
+                                  "src/workload", "src/core"]
 
     repo_root = os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))

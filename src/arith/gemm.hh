@@ -131,7 +131,6 @@ class HbfpGemm : public GemmEngine
                       Matrix &c, bool accumulate) const;
 
     const BfpFormat &format() const { return fmt; }
-    std::size_t blockLength() const { return block_len_; }
 
   private:
     BfpFormat fmt;

@@ -10,7 +10,7 @@
  *
  * For simulation efficiency each step additionally carries an aggregated
  * TileWork summary; the summary is derived from the instruction list by
- * makeStep() and is what the event-driven simulator executes. Tests verify
+ * makeTileWork() and is what the event-driven simulator executes. Tests verify
  * the aggregation against the raw instruction list.
  */
 

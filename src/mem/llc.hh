@@ -33,9 +33,6 @@ class Llc
   public:
     explicit Llc(const LlcConfig &config);
 
-    /** Line-granular address of @p addr. */
-    Addr lineOf(Addr addr) const { return addr / cfg.line_bytes; }
-
     ByteCount lineBytes() const { return cfg.line_bytes; }
     Tick hitLatency() const { return cfg.hit_latency_cycles; }
 

@@ -120,12 +120,6 @@ class MemoryHierarchy
     // -- component access (stats, tests) ---------------------------------
     const Scratchpad *scratchpad() const { return sp_.get(); }
     const Llc *llc() const { return llc_.get(); }
-    const WriteCombiningBuffer *writeBuffer() const { return wb_.get(); }
-    const char *prefetcherName() const { return policy_->name(); }
-
-    /** Transfers issued to the link by this hierarchy (run total). */
-    std::uint64_t dramTransfers() const { return dram_transfers_; }
-    std::uint64_t prefetchesIssued() const { return prefetch_issued_; }
 
     /** Snapshot every counter for SimResult / the stats registry. */
     MemStats stats() const;

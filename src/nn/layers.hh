@@ -107,7 +107,6 @@ class DenseLayer
     void step(double lr, double momentum);
 
     std::size_t inDim() const { return weights.rows(); }
-    std::size_t outDim() const { return weights.cols(); }
     const Matrix &weightMatrix() const { return weights; }
 
   private:

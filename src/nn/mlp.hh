@@ -41,7 +41,6 @@ class Mlp
     /** Apply one SGD step to all layers. */
     void step(double lr, double momentum);
 
-    std::size_t layerCount() const { return layers.size(); }
     const DenseLayer &layer(std::size_t i) const { return layers.at(i); }
 
   private:

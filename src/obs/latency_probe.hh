@@ -39,8 +39,6 @@ class LatencyProbe : public sim::TraceSink
     /** Per-service spans; nullptr when the service retired nothing. */
     const stats::LatencyTracker *serviceCycles(ContextId ctx) const;
 
-    std::size_t serviceCount() const { return per_service_.size(); }
-
     /** The percentile report, converted to seconds at @p frequency_hz. */
     struct Report
     {

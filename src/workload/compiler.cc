@@ -28,15 +28,6 @@ Compiler::Compiler(sim::AcceleratorConfig config) : cfg(std::move(config))
     EQX_ASSERT(cfg.n > 0 && cfg.m > 0 && cfg.w > 0, "degenerate MMU");
 }
 
-double
-Compiler::gradBytesPerValue() const
-{
-    // Gradients and deltas are produced by the bfloat16 SIMD unit and
-    // accumulated in bfloat16; in the bfloat16 datapath everything is
-    // 16-bit anyway.
-    return 2.0;
-}
-
 Tick
 Compiler::simdCycles(double elems) const
 {

@@ -87,9 +87,6 @@ class Compiler
     /** Bytes per matrix value in the datapath encoding. */
     double bytesPerValue() const { return cfg.bytesPerValue(); }
 
-    /** Bytes per value of SIMD-produced tensors (bfloat16 gradients). */
-    double gradBytesPerValue() const;
-
     const sim::AcceleratorConfig &config() const { return cfg; }
 
   private:

@@ -524,6 +524,36 @@ TEST(ObsSnapshot, RejectsWrongSchemaVersion)
     EXPECT_FALSE(MetricsSnapshot::parse("not json", &error).has_value());
 }
 
+TEST(ObsSnapshot, LoadPointExportsMemKeysOnlyForActiveHierarchy)
+{
+    // A passthrough point keeps the schema it had before the memory
+    // hierarchy existed; an active hierarchy adds the "mem" block.
+    core::LoadPointResult point;
+    MetricsSnapshot snap;
+    core::addLoadPoint(snap, "passthrough", point);
+    point.sim.mem.active = true;
+    point.sim.mem.llc_hits = 3;
+    point.sim.mem.llc_misses = 1;
+    point.sim.mem.prefetch_issued = 4;
+    point.sim.mem.prefetch_useful = 2;
+    point.sim.mem.dram_transfers = 5;
+    core::addLoadPoint(snap, "hierarchy", point);
+
+    const Json &sweeps = snap.root().at("sweeps");
+    EXPECT_EQ(sweeps.at("passthrough").at(0).find("mem"), nullptr);
+    const Json &mem = sweeps.at("hierarchy").at(0).at("mem");
+    for (const char *key :
+         {"llc_hits", "llc_misses", "llc_evictions", "hit_rate",
+          "prefetch_issued", "prefetch_useful", "prefetch_accuracy",
+          "sp_fill_stalls", "sp_bank_switches", "sp_high_water",
+          "wb_combines", "wb_bytes_in", "wb_bytes_drained",
+          "dram_transfers"})
+        EXPECT_NE(mem.find(key), nullptr) << key;
+    EXPECT_DOUBLE_EQ(mem.at("hit_rate").asDouble(), 0.75);
+    EXPECT_DOUBLE_EQ(mem.at("prefetch_accuracy").asDouble(), 0.5);
+    EXPECT_EQ(mem.at("dram_transfers").asInt(), 5);
+}
+
 TEST(ObsSnapshot, ParallelSweepSnapshotIsByteIdenticalToSerial)
 {
     core::ExperimentOptions opts;

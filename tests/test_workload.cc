@@ -206,6 +206,36 @@ TEST(Compiler, TrainingOpsMatchAnalyticCount)
                 expect, expect * 1e-9);
 }
 
+TEST(Compiler, CnnTrainingIterationStructure)
+{
+    // One forward, one data-gradient and one weight-gradient step per
+    // conv layer; the dgrad pass runs the layers in reverse. Each
+    // backward GEMM does exactly the forward GEMM's MACs.
+    Compiler compiler(equinox500Like());
+    const std::size_t batch = 2;
+    auto model = DnnModel::resnet50();
+    auto train = compiler.compileTraining(model, batch);
+    const auto &layers = model.cnn.layers;
+    const auto &steps = train.iteration.steps;
+    const std::size_t n = layers.size();
+    ASSERT_EQ(steps.size(), 3 * n);
+    EXPECT_FALSE(train.iteration.scale_rows_by_batch);
+    EXPECT_EQ(train.iteration.batch_rows, batch);
+    for (std::size_t i = 0; i < n; ++i) {
+        const OpCount fwd = steps[i].mmu.real_ops;
+        EXPECT_EQ(fwd, 2 * layers[i].macsPerImage() * batch) << i;
+        EXPECT_EQ(steps[2 * n - 1 - i].mmu.real_ops, fwd) << "dgrad " << i;
+        EXPECT_EQ(steps[2 * n + i].mmu.real_ops, fwd) << "wgrad " << i;
+    }
+    const TrainingCompileOptions topts;
+    const double params = static_cast<double>(model.paramCount());
+    EXPECT_EQ(train.sync_bytes_per_iteration,
+              static_cast<ByteCount>(
+                  params * (topts.delta_bytes + compiler.bytesPerValue())));
+    EXPECT_EQ(train.checkpoint_bytes,
+              static_cast<ByteCount>(params * topts.grad_acc_bytes));
+}
+
 TEST(Compiler, CnnInferenceUnderfillsRows)
 {
     // Per-image lowering leaves deep-layer rows underfilled: ResNet50's
