@@ -24,10 +24,11 @@
 #                                # (unit+property tier and the
 #                                # passthrough/differential tier)
 #   scripts/check.sh --bench-smoke [BASE_REV]
-#                                # A/B the perf-tracking benches (fig7,
-#                                # event kernel, cluster scaling,
-#                                # overload resilience, fleet scaling,
-#                                # memory hierarchy) against BASE_REV
+#                                # A/B the perf-tracking benches (fig2,
+#                                # fig7, fig9, event kernel, cluster
+#                                # scaling, overload resilience, fleet
+#                                # scaling, memory hierarchy, fault
+#                                # tolerance) against BASE_REV
 #                                # (default HEAD) with scripts/ab.py:
 #                                # 10 alternating same-host pairs of
 #                                # --jobs=1 wall time each; fails on a
@@ -90,9 +91,12 @@ run_preset() {
 run_bench_smoke() {
     # Perf-regression gate: same-host alternating pairs of the working
     # tree against a base revision (scripts/ab.py builds both sides).
+    # fig9 and fault_tolerance run co-located training (fault_tolerance
+    # on the eager path a fault plan selects); fig2 dispatches no events.
     python3 scripts/ab.py "${1:-HEAD}" fig7_inference_latency \
         event_kernel cluster_scaling overload_resilience fleet_scaling \
-        memory_hierarchy
+        memory_hierarchy fig9_training_throughput fault_tolerance \
+        fig2_convergence
 }
 
 run_perfbench() {

@@ -203,15 +203,23 @@ struct SimResult
 
     // -- simulator execution diagnostics (NOT part of the result
     // -- digest: they describe how the simulator ran, not what the
-    // -- simulated machine did; events_inlined legitimately differs
-    // -- between fast-forwarded and cycle-accurate runs) ---------------
+    // -- simulated machine did; events_inlined, fills_deferred and so
+    // -- events_dispatched legitimately differ between fast-forwarded
+    // -- and cycle-accurate runs) --------------------------------------
     /** Events this run dispatched (incl. inlined fast-forward ones). */
     std::uint64_t events_dispatched = 0;
     /** Dispatches the fast-forward engine inlined (0 when disabled). */
     std::uint64_t events_inlined = 0;
     /**
+     * Staging fills the training prefetcher landed without an event (0
+     * on the reference path): each stands for one event the reference
+     * path dispatches, so events_dispatched + fills_deferred equals the
+     * reference path's events_dispatched.
+     */
+    std::uint64_t fills_deferred = 0;
+    /**
      * Memory-hierarchy counters (all-zero, active=false with the
-     * default passthrough hierarchy). Diagnostics like the two fields
+     * default passthrough hierarchy). Diagnostics like the fields
      * above: the digest fold must never include them, so that a
      * passthrough run stays byte-identical to the pre-hierarchy
      * simulator and non-trivial hierarchies keep digest comparability

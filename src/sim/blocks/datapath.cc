@@ -338,6 +338,14 @@ Datapath::completeTrainingChunk(Tick chunk)
     if (train->issued_in_step >= tw.occupancy)
         advanceTrainingStep();
 
+    // The issue-time pump() already filled staging as far as it could,
+    // and landings since only moved bytes, so on the passthrough path
+    // without faults this pump issues nothing (it settles deferred
+    // fills). It stays for two cases: with the banked scratchpad it
+    // counts a fill stall when the ping-pong headroom is spent
+    // (mem.sp_fill_stalls), and after an ECC-poisoned fill cut the
+    // issue-time pump short it refills the room that pump left when
+    // no earlier fill is in flight to re-pump on landing.
     prefetcher->pump();
     dispatcher->tryDispatch();
 }

@@ -6,6 +6,10 @@
  *
  * These used to be private structs inside the monolithic Accelerator;
  * they live here so blocks and tests can name them directly.
+ *
+ * TrainState also holds the training prefetcher's deferred staging
+ * fills: transfers whose landing is applied at the next read of the
+ * staging state instead of dispatched as an event (DESIGN.md 2.7).
  */
 
 #ifndef EQUINOX_SIM_BLOCKS_INF_TYPES_HH
@@ -106,6 +110,19 @@ struct TrainStepRate
     Tick granule = 1;
 };
 
+/**
+ * A staging fill the training prefetcher issued without an event: at
+ * @p done, @p bytes move from in flight to staged. @p seq is the event
+ * sequence number reserved at issue, under which the fill is scheduled
+ * if it becomes an event after all (TrainPrefetcher::materialize).
+ */
+struct DeferredFill
+{
+    Tick done = 0;
+    ByteCount bytes = 0;
+    std::uint64_t seq = 0;
+};
+
 /** The training service's execution and prefetch state. */
 struct TrainState
 {
@@ -127,6 +144,14 @@ struct TrainState
     double inflight_bytes = 0.0;
     std::size_t prefetch_step = 0;
     ByteCount prefetch_off = 0;
+    /**
+     * Deferred fills in issue order, which is also landing order: the
+     * link completes low-priority transfers in issue order. Between
+     * events, non-empty only while the MMU is busy. Always empty on the
+     * reference path (RunSpec::fast_forward = false), with a fault plan
+     * and with a non-passthrough hierarchy.
+     */
+    std::vector<DeferredFill> deferred_fills;
     /**
      * Synthesized DRAM addresses for the memory hierarchy: byte offset
      * of the prefetch walk (reads) and of the store-back stream

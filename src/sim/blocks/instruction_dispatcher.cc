@@ -6,6 +6,7 @@
 #include "sim/blocks/datapath.hh"
 #include "sim/blocks/fault_unit.hh"
 #include "sim/blocks/request_dispatcher.hh"
+#include "sim/blocks/train_prefetcher.hh"
 #include "stats/registry.hh"
 
 namespace equinox
@@ -30,10 +31,12 @@ InstructionDispatcher::~InstructionDispatcher() = default;
 void
 InstructionDispatcher::connect(Datapath *datapath_,
                                RequestDispatcher *requests_,
+                               TrainPrefetcher *prefetcher_,
                                FaultUnit *faults_)
 {
     datapath = datapath_;
     requests = requests_;
+    prefetcher = prefetcher_;
     faults = faults_;
 }
 
@@ -145,6 +148,10 @@ InstructionDispatcher::tryDispatch()
         return;
     ++rounds;
     Tick now = ctx.events.now();
+    // Training readiness reads the staged bytes: land the deferred
+    // fills first.
+    if (ctx.train)
+        prefetcher->settle();
 
     InfBatch *inf = firstReadyBatch();
     bool train_ok = trainingReady();
@@ -200,6 +207,11 @@ InstructionDispatcher::tryDispatch()
     }
     if (ctx.train && !ctx.train->in_flight && ctx.train->ready_at > now)
         wake = std::min(wake, ctx.train->ready_at);
+    // The array is idle, so a fill's landing may start work again: the
+    // deferred ones become events, before the tail-position wake below
+    // decides whether it can dispatch inline.
+    if (ctx.train)
+        prefetcher->materialize();
     if (wake != kTickMax && wake > now)
         scheduleWake(wake, /*tail=*/true);
 }

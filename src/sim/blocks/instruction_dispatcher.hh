@@ -29,6 +29,7 @@ namespace sim
 class Datapath;
 class FaultUnit;
 class RequestDispatcher;
+class TrainPrefetcher;
 
 /** Execution-unit scheduler between inference contexts and training. */
 class InstructionDispatcher final : public SimBlock
@@ -39,7 +40,7 @@ class InstructionDispatcher final : public SimBlock
 
     /** Wire control ports (composition root, once). */
     void connect(Datapath *datapath_, RequestDispatcher *requests_,
-                 FaultUnit *faults_);
+                 TrainPrefetcher *prefetcher_, FaultUnit *faults_);
 
     void resetRun() override;
     void registerStats(stats::StatRegistry &reg) override;
@@ -49,6 +50,9 @@ class InstructionDispatcher final : public SimBlock
      * it, or arm a wakeup at the earliest dependence-ready tick.
      * Idempotent and cheap when the MMU is busy/hung or nothing is
      * ready; every block pokes this after making new work available.
+     * With the MMU free it first settles the prefetcher's deferred
+     * staging fills, and a round that issues nothing turns the ones
+     * still in flight back into events (TrainPrefetcher).
      */
     void tryDispatch();
 
@@ -70,6 +74,7 @@ class InstructionDispatcher final : public SimBlock
 
     Datapath *datapath = nullptr;
     RequestDispatcher *requests = nullptr;
+    TrainPrefetcher *prefetcher = nullptr;
     FaultUnit *faults = nullptr;
 
     std::unique_ptr<SchedulingPolicy> policy_;

@@ -32,6 +32,19 @@ TrainPrefetcher::resetRun()
 {
     prefetches_issued = 0;
     prefetch_bytes = 0;
+    fills_deferred = 0;
+}
+
+void
+TrainPrefetcher::beginRun(Tick max_ticks)
+{
+    // A fault plan makes landings observable (ECC rollbacks, hangs),
+    // and a non-trivial hierarchy stages bytes by bank at the landing.
+    // A landing past the horizon stays an event so the run still ends
+    // on the event it ends on without deferral.
+    defer = ctx.spec.fast_forward && ctx.mem->passthrough() &&
+            !faults->active();
+    defer_until = max_ticks;
 }
 
 void
@@ -69,6 +82,7 @@ TrainPrefetcher::pump()
     auto &train = ctx.train;
     if (!train || ctx.stopping)
         return;
+    settle();
     const auto &steps = train->desc.iteration.steps;
     const bool banked = ctx.mem && ctx.mem->hasScratchpad();
     while (true) {
@@ -136,29 +150,76 @@ TrainPrefetcher::pump()
             });
             return;
         }
+        if (defer && done <= defer_until) {
+            // No event: settle() or materialize() takes it from here.
+            train->deferred_fills.push_back(
+                DeferredFill{done, chunk, ctx.events.reserveSeq()});
+            continue;
+        }
         std::uint64_t epoch = train->epoch;
         ctx.events.schedule(done, [this, chunk, epoch, banked] {
-            if (epoch != ctx.train->epoch)
-                return; // superseded by a rollback/reset
-            ctx.train->inflight_bytes -= static_cast<double>(chunk);
-            if (banked) {
-                // Only completed banks become consumable; bytes landing
-                // in a partially-filled bank stage later, when a
-                // subsequent fill completes the bank.
-                ByteCount newly = ctx.mem->noteScratchpadFill(chunk);
-                ctx.train->staged_bytes += static_cast<double>(newly);
-                if (newly > 0) {
-                    emit(TraceEventType::MemStage, 0, newly,
-                         static_cast<std::uint64_t>(
-                             ctx.train->staged_bytes));
-                }
-            } else {
-                ctx.train->staged_bytes += static_cast<double>(chunk);
-            }
-            pump();
-            dispatcher->tryDispatch();
+            land(chunk, epoch, banked);
         });
     }
+}
+
+void
+TrainPrefetcher::land(ByteCount chunk, std::uint64_t epoch, bool banked)
+{
+    if (epoch != ctx.train->epoch)
+        return; // superseded by a rollback/reset
+    ctx.train->inflight_bytes -= static_cast<double>(chunk);
+    if (banked) {
+        // Only completed banks become consumable; bytes landing in a
+        // partially-filled bank stage later, when a subsequent fill
+        // completes the bank.
+        ByteCount newly = ctx.mem->noteScratchpadFill(chunk);
+        ctx.train->staged_bytes += static_cast<double>(newly);
+        if (newly > 0) {
+            emit(TraceEventType::MemStage, 0, newly,
+                 static_cast<std::uint64_t>(ctx.train->staged_bytes));
+        }
+    } else {
+        ctx.train->staged_bytes += static_cast<double>(chunk);
+    }
+    pump();
+    dispatcher->tryDispatch();
+}
+
+void
+TrainPrefetcher::settleLanded()
+{
+    auto &train = *ctx.train;
+    auto &fills = train.deferred_fills;
+    const Tick now = ctx.events.now();
+    std::size_t landed = 0;
+    // The body of land() on the passthrough path, minus its pump() and
+    // tryDispatch(), which a landing with the MMU busy leaves as no-ops.
+    for (; landed < fills.size() && fills[landed].done <= now; ++landed) {
+        train.inflight_bytes -= static_cast<double>(fills[landed].bytes);
+        train.staged_bytes += static_cast<double>(fills[landed].bytes);
+    }
+    fills.erase(fills.begin(),
+                fills.begin() + static_cast<std::ptrdiff_t>(landed));
+    fills_deferred += landed;
+}
+
+void
+TrainPrefetcher::materialize()
+{
+    auto &train = *ctx.train;
+    const std::uint64_t epoch = train.epoch;
+    for (const DeferredFill &f : train.deferred_fills) {
+        // Every caller settled first, so every fill left lands in the
+        // future, where a reserved seq can still be placed.
+        EQX_ASSERT(f.done > ctx.events.now(), "deferred fill landed at ",
+                   f.done, " was not settled by ", ctx.events.now());
+        ByteCount chunk = f.bytes;
+        ctx.events.scheduleReserved(f.done, f.seq, [this, chunk, epoch] {
+            land(chunk, epoch, /*banked=*/false);
+        });
+    }
+    train.deferred_fills.clear();
 }
 
 } // namespace sim

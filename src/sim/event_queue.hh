@@ -60,6 +60,12 @@
  *    skipped. Inlined dispatches count toward dispatched() (they are
  *    real simulation events), and are additionally reported by
  *    inlined(). See DESIGN.md section 2.7 for the invariants.
+ *  - Reserved sequence numbers: reserveSeq() hands out the seq a
+ *    schedule() would take without scheduling, and scheduleReserved()
+ *    later pushes an event under it, so work that is usually settled
+ *    without an event (the training prefetcher's deferred staging
+ *    fills, DESIGN.md section 2.7) keeps its place among same-tick
+ *    events when it does become one.
  */
 
 #ifndef EQUINOX_SIM_EVENT_QUEUE_HH
@@ -210,6 +216,32 @@ class EventQueue
     scheduleIn(Tick delta, Callback cb)
     {
         schedule(now_ + delta, std::move(cb));
+    }
+
+    /**
+     * Take the sequence number a future-tick schedule() made now would
+     * get, without scheduling anything. A caller that may later turn
+     * the work into an event passes it to scheduleReserved(), which
+     * puts the event where this schedule() would have: after every
+     * same-tick event scheduled before the reservation, before every
+     * one scheduled after it.
+     */
+    std::uint64_t reserveSeq() { return next_seq_++; }
+
+    /**
+     * Schedule @p cb at @p when under @p seq, a number reserveSeq()
+     * returned. @p when must lie strictly in the future: the open
+     * tick's events already sit in the FIFO in seq order, and a
+     * reserved seq could not be placed among them.
+     */
+    void
+    scheduleReserved(Tick when, std::uint64_t seq, Callback cb)
+    {
+        EQX_ASSERT(when > now_, "reserved event not in the future: ",
+                   when, " <= ", now_);
+        EQX_ASSERT(seq < next_seq_, "seq ", seq, " was never reserved");
+        heap_.push(Key{when, seq, store(std::move(cb))});
+        noteHighWater();
     }
 
     /**

@@ -9,11 +9,13 @@
  * current-tick self-scheduling, interleaved schedule()/scheduleIn(),
  * pool reuse across drained ticks -- plus a seeded fuzz of several
  * input shapes against a straightforward priority-queue reference
- * model.
+ * model, and one whose events reserve their seq when they are
+ * scheduled and are pushed only later (reserveSeq/scheduleReserved).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -218,6 +220,14 @@ class ModelQueue
         heap_.push(Entry{when, seq_++, std::move(fn)});
     }
 
+    std::uint64_t reserveSeq() { return seq_++; }
+
+    void
+    scheduleReserved(Tick when, std::uint64_t seq, std::function<void()> fn)
+    {
+        heap_.push(Entry{when, seq, std::move(fn)});
+    }
+
     Tick now() const { return now_; }
     std::size_t pending() const { return heap_.size(); }
 
@@ -367,6 +377,138 @@ TEST(EventKernel, FuzzMatchesReferenceModel)
             EXPECT_TRUE(real.empty());
         }
     }
+}
+
+/**
+ * Drive a randomized workload through either queue in which some
+ * events take their seq when they are scheduled (reserveSeq) and are
+ * pushed only later, from another event's handler (scheduleReserved),
+ * while plain events keep landing on the same ticks in between. Held
+ * reservations are pushed in a hash-chosen order while their tick is
+ * still in the future; one whose tick arrives first is dropped, as a
+ * settled staging fill's is.
+ */
+template <typename Queue>
+std::vector<Dispatch>
+reservedFuzzRun(Queue &q, std::uint64_t seed)
+{
+    struct Held
+    {
+        Tick when;
+        std::uint64_t seq;
+        int id;
+        int budget;
+    };
+    std::vector<Dispatch> log;
+    std::vector<Held> held;
+    Rng rng(seed);
+    int next_id = 0;
+    std::function<void(int, int)> fire = [&](int id, int budget) {
+        log.push_back(Dispatch{q.now(), id, q.pending()});
+        std::uint64_t h = static_cast<std::uint64_t>(id) ^ seed;
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+        h ^= h >> 31;
+        // Push the reservations this firing picks, newest first half
+        // the time, so pushes are not in reservation order.
+        const bool newest_first = (h >> 3) & 1;
+        std::vector<Held> keep;
+        for (std::size_t k = 0; k < held.size(); ++k) {
+            const Held &r = held[newest_first ? held.size() - 1 - k : k];
+            if (r.when <= q.now())
+                continue; // its tick arrived unpushed: dropped
+            if ((h >> (5 + k % 32)) & 1) {
+                int cid = r.id;
+                int cb = r.budget;
+                q.scheduleReserved(r.when, r.seq,
+                                   [&fire, cid, cb] { fire(cid, cb); });
+            } else {
+                keep.push_back(r);
+            }
+        }
+        if (newest_first)
+            std::reverse(keep.begin(), keep.end());
+        held = std::move(keep);
+        if (budget <= 0)
+            return;
+        Tick ahead = 1 + (h >> 40) % 6;
+        if (h % 3 == 0) {
+            // Reserve at a near tick, then schedule a plain event on the
+            // same tick: once pushed, the reservation must run first.
+            held.push_back(Held{q.now() + ahead, q.reserveSeq(),
+                                next_id++, budget - 1});
+            int cid = next_id++;
+            q.schedule(q.now() + ahead, [&fire, cid, budget] {
+                fire(cid, budget - 1);
+            });
+        }
+        if ((h >> 8) % 2 == 0) {
+            int cid = next_id++;
+            Tick delta = 1 + (h >> 16) % 6;
+            q.schedule(q.now() + delta, [&fire, cid, budget] {
+                fire(cid, budget - 1);
+            });
+        }
+        if ((h >> 12) % 5 == 0) {
+            int cid = next_id++;
+            q.schedule(q.now(), [&fire, cid, budget] {
+                fire(cid, budget - 1);
+            });
+        }
+    };
+    for (int i = 0; i < 500; ++i) {
+        int id = next_id++;
+        Tick when = rng.uniformInt(0, 255);
+        q.schedule(when, [&fire, id] { fire(id, 6); });
+    }
+    while (q.runOne()) {
+    }
+    return log;
+}
+
+TEST(EventKernel, ReservedSeqFuzzMatchesReferenceModel)
+{
+    for (std::uint64_t seed : {3ull, 71ull, 4099ull, 65537ull}) {
+        EventQueue real;
+        ModelQueue model;
+        auto got = reservedFuzzRun(real, seed);
+        auto want = reservedFuzzRun(model, seed);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(got[i], want[i]) << "seed " << seed << " dispatch "
+                                       << i;
+        EXPECT_EQ(real.dispatched(), got.size());
+        EXPECT_TRUE(real.empty());
+    }
+}
+
+TEST(EventKernel, ReservedSeqKeepsItsPlaceAmongSameTickEvents)
+{
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule(10, [&] { order.push_back(0); });
+    std::uint64_t seq = q.reserveSeq();
+    q.schedule(10, [&] { order.push_back(2); });
+    q.schedule(4, [&] {
+        // Pushed later, from another event: still ahead of the event
+        // scheduled after the reservation.
+        q.scheduleReserved(10, seq, [&] { order.push_back(1); });
+    });
+    while (q.runOne()) {
+    }
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventKernelDeathTest, ScheduleReservedOutsideTheFutureDies)
+{
+    EventQueue q;
+    std::uint64_t seq = q.reserveSeq();
+    q.schedule(5, [] {});
+    ASSERT_TRUE(q.runOne());
+    EXPECT_DEATH(q.scheduleReserved(5, seq, [] {}),
+                 "reserved event not in the future");
+    EXPECT_DEATH(q.scheduleReserved(3, seq, [] {}),
+                 "reserved event not in the future");
 }
 
 // ------------------------------------------------- ReservedMinHeap

@@ -13,12 +13,15 @@
  *
  *  - A seeded differential fuzz: N randomized accelerator configs
  *    (scheduling x batching policy, load level, arrival process,
- *    training on/off, active FaultPlans) each run twice on fresh
- *    accelerators -- fast_forward on vs off -- and must agree on the
- *    full result digest (every SimResult field incl. percentiles and
- *    the fault trace), the dispatch count, and every registered
- *    statistic (the MetricsSnapshot surface). The same comparison
- *    runs full size on the Equinox_500us preset with LSTM-2048.
+ *    training on/off, active FaultPlans, a simulated-time horizon that
+ *    cuts the run short) each run twice on fresh accelerators --
+ *    fast_forward on vs off -- and must agree on the full result
+ *    digest (every SimResult field incl. percentiles and the fault
+ *    trace), every registered statistic (the MetricsSnapshot
+ *    surface), and the dispatch count once the staging fills the
+ *    fast-forwarded run landed without an event are added back. The
+ *    same comparison runs full size on the Equinox_500us preset with
+ *    LSTM-2048.
  *
  *  - A cluster differential: a multi-replica run under an active
  *    ChaosPlan with the control plane engaged, fast-forwarded vs
@@ -177,6 +180,8 @@ struct FuzzCase
     bool training;
     bool faults;
     std::uint64_t seed;
+    /** RunSpec::max_sim_s; 0 keeps the default, which never binds. */
+    double horizon_s = 0.0;
 };
 
 FuzzCase
@@ -204,6 +209,8 @@ struct CaseOutcome
     std::uint64_t digest;
     std::uint64_t events;
     std::uint64_t inlined;
+    std::uint64_t fills_deferred;
+    std::uint64_t completed;
     std::map<std::string, double> stats;
 };
 
@@ -214,6 +221,8 @@ outcomeOf(sim::Accelerator &accel, const sim::SimResult &res)
     out.digest = sim::resultDigest(res);
     out.events = res.events_dispatched;
     out.inlined = res.events_inlined;
+    out.fills_deferred = res.fills_deferred;
+    out.completed = res.completed_requests;
     stats::StatRegistry reg;
     accel.registerStats(reg);
     reg.forEach([&](const std::string &name, double v,
@@ -221,13 +230,19 @@ outcomeOf(sim::Accelerator &accel, const sim::SimResult &res)
     return out;
 }
 
-/** Both engines agree on everything but the inlined tally. */
+/**
+ * Both engines agree on everything but the inlined tally and the
+ * staging fills the fast-forwarded run landed without an event: the
+ * reference path dispatches every fill, and each deferred fill stands
+ * for exactly one of its events.
+ */
 void
 expectSameRun(const CaseOutcome &ff, const CaseOutcome &ref)
 {
     EXPECT_EQ(ref.inlined, 0u);
+    EXPECT_EQ(ref.fills_deferred, 0u);
     EXPECT_EQ(ff.digest, ref.digest);
-    EXPECT_EQ(ff.events, ref.events);
+    EXPECT_EQ(ff.events + ff.fills_deferred, ref.events);
     EXPECT_EQ(ff.stats, ref.stats);
 }
 
@@ -251,11 +266,26 @@ runCase(const FuzzCase &c, bool fast_forward)
     spec.arrival_process = c.arrivals;
     spec.arrival_rate_per_s = c.load_frac * accel.maxRequestRate();
     spec.fast_forward = fast_forward;
+    if (c.horizon_s > 0.0)
+        spec.max_sim_s = c.horizon_s;
     if (c.faults) {
         spec.faults = testutil::densePlan();
         spec.faults.seed = c.seed * 13 + 7;
     }
     return outcomeOf(accel, accel.run(spec));
+}
+
+/**
+ * Training is installed and may issue (the inference-only policy never
+ * issues it, so its staging fills all land before any MMU work), and
+ * no fault plan is active: operands stream while the array computes,
+ * so the fast-forwarded run defers staging fills.
+ */
+bool
+defersFills(const FuzzCase &c)
+{
+    return c.training && !c.faults &&
+           c.sched != sim::SchedPolicy::InferenceOnly;
 }
 
 TEST(FastForwardDifferential, RandomizedConfigsAreBitIdentical)
@@ -274,9 +304,67 @@ TEST(FastForwardDifferential, RandomizedConfigsAreBitIdentical)
         expectSameRun(ff, runCase(c, false));
         if (ff.inlined > 0)
             ++cases_with_inlining;
+        if (defersFills(c)) {
+            EXPECT_GT(ff.fills_deferred, 0u);
+        }
     }
     // The differential is vacuous if fast-forward never engages.
     EXPECT_GT(cases_with_inlining, kCases / 2);
+}
+
+TEST(FastForwardDifferential, HorizonCutTrainingRunsAreBitIdentical)
+{
+    // Training co-located under a simulated-time horizon far shorter
+    // than the measured window needs: the run ends on the first event
+    // past max_sim_s, with staging fills still streaming, so fills
+    // land past the horizon (they stay events) as well as before it.
+    static const sim::SchedPolicy scheds[] = {
+        sim::SchedPolicy::Priority, sim::SchedPolicy::FairShare,
+        sim::SchedPolicy::SoftwareBatch};
+    const std::uint64_t kCases = 48;
+    std::uint64_t cases_deferring = 0;
+    for (std::uint64_t i = 0; i < kCases; ++i) {
+        FuzzCase c = caseFromSeed(100 + i);
+        c.sched = scheds[i % 3];
+        c.load_frac = 0.3 + 0.1 * static_cast<double>(i % 2);
+        c.training = true;
+        c.faults = i % 8 == 7;
+        c.horizon_s = 2e-4 + 4.1e-6 * static_cast<double>(i);
+        SCOPED_TRACE("case " + std::to_string(i) + ": sched=" +
+                     sim::schedPolicyName(c.sched) + " horizon=" +
+                     std::to_string(c.horizon_s) +
+                     (c.faults ? " +faults" : ""));
+        CaseOutcome ff = runCase(c, true);
+        CaseOutcome ref = runCase(c, false);
+        expectSameRun(ff, ref);
+        // The horizon, not the request count, ended the run.
+        EXPECT_LT(ref.completed, 300u);
+        if (ff.fills_deferred > 0)
+            ++cases_deferring;
+    }
+    // Cut this short, a run can end before any fill lands while the
+    // array is busy, so not every case defers; most do.
+    EXPECT_GT(cases_deferring, kCases * 3 / 4);
+}
+
+TEST(FastForwardDifferential, TrainingOnlyHorizonSweepIsBitIdentical)
+{
+    // Training alone, its horizon swept in 8-tick steps across more
+    // than one training chunk: fills land in a short window after each
+    // chunk issue, so in some of these runs the first event past
+    // max_sim_s -- the one the run ends on -- is a fill landing, which
+    // must therefore stay an event.
+    for (std::uint64_t k = 0; k < 128; ++k) {
+        FuzzCase c = caseFromSeed(300);
+        c.sched = sim::SchedPolicy::Priority;
+        c.load_frac = 0.0;
+        c.training = true;
+        c.faults = false;
+        c.horizon_s = 2.4e-4 + 8e-8 * static_cast<double>(k);
+        SCOPED_TRACE("horizon " + std::to_string(c.horizon_s));
+        CaseOutcome ff = runCase(c, true);
+        expectSameRun(ff, runCase(c, false));
+    }
 }
 
 TEST(FastForwardDifferential, GoldenScenarioInlinesAndMatches)
@@ -287,6 +375,7 @@ TEST(FastForwardDifferential, GoldenScenarioInlinesAndMatches)
     auto ff = testutil::runScenario(sim::SchedPolicy::Priority, {});
     EXPECT_EQ(testutil::digestOf(ff), testutil::kGoldenFaultFreePriority);
     EXPECT_GT(ff.events_inlined, 0u);
+    EXPECT_GT(ff.fills_deferred, 0u);
 }
 
 TEST(FastForwardDifferential, ReferencePathReproducesGoldenDigest)
@@ -308,6 +397,7 @@ TEST(FastForwardDifferential, ReferencePathReproducesGoldenDigest)
     spec.fast_forward = false;
     auto res = accel.run(spec);
     EXPECT_EQ(res.events_inlined, 0u);
+    EXPECT_EQ(res.fills_deferred, 0u);
     EXPECT_EQ(testutil::digestOf(res),
               testutil::kGoldenFaultFreePriority);
 }
@@ -353,6 +443,9 @@ TEST(FastForwardDifferential, PresetLstm2048IsBitIdentical)
         CaseOutcome ff = runPreset(p.load, p.training, true);
         expectSameRun(ff, runPreset(p.load, p.training, false));
         EXPECT_GT(ff.inlined, 0u);
+        if (p.training) {
+            EXPECT_GT(ff.fills_deferred, 0u);
+        }
     }
 }
 
