@@ -14,6 +14,9 @@
  *      least-loaded replicas as train_replicas shrinks.
  */
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -37,9 +40,9 @@ baseOptions(std::size_t jobs)
     opts.warmup_requests = 200;
     opts.measure_requests = 1200;
     opts.min_measure_s = 0.05;
-    // The router pre-routes the candidate stream over the whole
-    // horizon (see Cluster::run), so size it to what the longest point
-    // needs instead of the single-chip default.
+    // The router routes every candidate of the whole horizon (see
+    // Cluster::run), so size it to what the longest point needs
+    // instead of the single-chip default.
     opts.max_sim_s = 2.0;
     opts.jobs = jobs;
     return opts;
@@ -77,6 +80,14 @@ main(int argc, char **argv)
                                   arith::Encoding::Hbfp8, jobs);
     auto opts = baseOptions(jobs);
     auto compiled = core::compileWorkload(cfg, opts);
+    // Most candidate ticks the arrival feed held at once, over every
+    // point: bounded by what the replicas read when they pull, and by
+    // the horizon when the training placement routes it all first.
+    std::uint64_t feed_high_water = 0;
+    auto noteFeed = [&](const cluster::ClusterPointResult &r) {
+        feed_high_water =
+            std::max(feed_high_water, r.feed_buffer_high_water);
+    };
 
     // ------------------------------------------------------------------
     bench::section("1. scale-out: replicas x routing policy at load "
@@ -94,6 +105,7 @@ main(int argc, char **argv)
                 cspec.policy = policy;
                 cluster::Cluster fleet(cfg, cspec);
                 auto r = fleet.run(0.7, opts, compiled);
+                noteFeed(r);
                 if (replicas == 1)
                     base_tops = r.aggregate_inference_tops;
                 double speedup = base_tops > 0.0
@@ -132,6 +144,7 @@ main(int argc, char **argv)
             cspec.outages.push_back({1, 0.05, 0.12});
             cluster::Cluster fleet(cfg, cspec);
             auto r = fleet.run(0.7, opts, compiled);
+            noteFeed(r);
             table.addRow(
                 {cluster::routingPolicyName(policy),
                  bench::num(r.availability, 4),
@@ -162,6 +175,7 @@ main(int argc, char **argv)
             cspec.train_replicas = train;
             cluster::Cluster fleet(cfg, cspec);
             auto r = fleet.run(0.7, opts, compiled);
+            noteFeed(r);
             table.addRow(
                 {train == 0 ? "all" : std::to_string(train),
                  trainedReplicas(r),
@@ -176,6 +190,11 @@ main(int argc, char **argv)
         harness.recordClusterSweep("training_placement", points);
     }
 
+    harness.note("feed_buffer_high_water", feed_high_water);
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    harness.note("peak_rss_mb",
+                 static_cast<double>(ru.ru_maxrss) / 1024.0); // KiB
     harness.finish();
     return 0;
 }

@@ -91,7 +91,7 @@ fleetOptions(std::size_t jobs, std::size_t replicas)
     opts.warmup_requests = 4 * replicas;
     opts.measure_requests = 48 * replicas;
     opts.seed = 21;
-    // The router pre-routes the candidate stream over the whole
+    // The router routes the candidate stream over the whole
     // horizon for every replica: 8 ms of simulated time fits ~110
     // arrivals per replica at load 0.7, enough to fill the measured
     // quota with queueing headroom.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
+#include "cluster/arrival_feed.hh"
 #include "cluster/fleet.hh"
 #include "cluster/router.hh"
 #include "common/logging.hh"
@@ -206,45 +208,33 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
         fc.min_samples = as.min_samples;
     }
     // The router outlives routing: the training coordinator and the
-    // per-shard/autoscaler reporting below query it.
+    // per-shard/autoscaler reporting below query it. The feed routes
+    // the candidate stream through it, or through the control plane
+    // over it, as far as the replicas read.
     FleetRouter router(fc, outages);
     const bool cp_on = spec_.resilience.enabled();
-    RouterResult routed;
-    ResilienceStats rstats;
-    double overload_frac = 0.0;
-    if (cp_on) {
-        ControlPlane cp(spec_.resilience, router);
-        routed = cp.route(rate_cycle, opts.seed, max_ticks, surges);
-        rstats = cp.stats();
-        overload_frac = cp.overloadFraction();
-    } else {
-        routed = router.route(rate_cycle, opts.seed, max_ticks, surges);
-    }
-    // Router-side conservation: every candidate reached a replica or
-    // was shed; behind the control plane, replica assignments are the
-    // dispatches plus their hedge duplicates.
-    const std::uint64_t assigned_total = std::accumulate(
-        routed.assigned.begin(), routed.assigned.end(), std::uint64_t{0});
-    if (cp_on) {
-        EQX_ASSERT(routed.generated == rstats.dispatched + routed.shed,
-                   "generated ", routed.generated, " != dispatched ",
-                   rstats.dispatched, " + shed ", routed.shed);
-        EQX_ASSERT(assigned_total ==
-                       rstats.dispatched + rstats.hedges_issued,
-                   "assigned ", assigned_total, " != dispatched ",
-                   rstats.dispatched, " + hedges ", rstats.hedges_issued);
-    } else {
-        EQX_ASSERT(routed.generated == assigned_total + routed.shed,
-                   "generated ", routed.generated, " != assigned ",
-                   assigned_total, " + shed ", routed.shed);
-    }
+    std::optional<ControlPlane> cp;
+    if (cp_on)
+        cp.emplace(spec_.resilience, router);
+    ArrivalFeed feed(router, cp ? &*cp : nullptr, rate_cycle, opts.seed,
+                     max_ticks, surges);
 
     // Training coordinator: place the piggybacked training service on
     // the replicas the router loaded least -- most free cycles, the
     // "training for free" invariant at fleet scale. Stable sort with
-    // an index tiebreak keeps the placement deterministic.
-    std::vector<char> trains(n, 0);
-    if (compiled.training) {
+    // an index tiebreak keeps the placement deterministic. A placement
+    // that picks a subset reads full-horizon counts, so the feed
+    // routes to the end first; otherwise every replica trains and the
+    // replicas start at once, pulling only what they read.
+    const bool place_by_counts =
+        compiled.training &&
+        ((spec_.train_replicas > 0 && spec_.train_replicas < n) ||
+         (cp_on && spec_.resilience.shed_training_under_overload) ||
+         as.enabled);
+    std::vector<char> trains(n, compiled.training && !place_by_counts);
+    std::size_t training_replicas_shed = 0;
+    if (place_by_counts) {
+        feed.routeToEnd();
         std::size_t k = spec_.train_replicas == 0
                             ? n
                             : std::min(spec_.train_replicas, n);
@@ -253,11 +243,10 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
         // the training replicas -- training hands back its free
         // cycles before inference suffers.
         if (cp_on && spec_.resilience.shed_training_under_overload) {
-            auto shed = std::min(
+            training_replicas_shed = std::min(
                 k, static_cast<std::size_t>(std::floor(
-                       overload_frac * static_cast<double>(k))));
-            rstats.training_replicas_shed = shed;
-            k -= shed;
+                       cp->overloadFraction() * static_cast<double>(k))));
+            k -= training_replicas_shed;
         }
         std::vector<std::size_t> order(n);
         std::iota(order.begin(), order.end(), std::size_t{0});
@@ -273,10 +262,10 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
                         order.end());
             k = std::min(k, order.size());
         }
+        const std::vector<std::uint64_t> &assigned = feed.assigned();
         std::stable_sort(order.begin(), order.end(),
                          [&](std::size_t a, std::size_t b) {
-                             return routed.assigned[a] <
-                                    routed.assigned[b];
+                             return assigned[a] < assigned[b];
                          });
         for (std::size_t i = 0; i < k; ++i)
             trains[order[i]] = 1;
@@ -284,7 +273,7 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
 
     // Run the replicas on min(jobs, n) workers, each taking the next
     // unclaimed replica. Each run is self-contained (own Accelerator,
-    // own trace slice, optional own sink), so the fan-out is
+    // own slice of the feed, optional own sink), so the fan-out is
     // byte-identical to a serial loop.
     std::vector<ReplicaOutcome> out(n);
     parallelFor(opts.jobs, n, [&](std::size_t r) {
@@ -296,17 +285,17 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
             accel.setTraceSink(replica_sinks[r]);
 
         sim::RunSpec rs;
-        // A replica whose trace is empty (dead all run, or never
-        // activated by the autoscaler) must offer rate 0: the
+        // A replica the router sends nothing all run (dead all run, or
+        // never activated by the autoscaler) must offer rate 0: the
         // dispatcher falls back to stochastic draws at the given rate
-        // when the tick trace is empty, and the replica would invent
+        // without an arrival source, and the replica would invent
         // traffic the router never sent it.
-        rs.arrival_rate_per_s =
-            routed.traces[r].empty() ? 0.0 : per_replica_rate;
+        const bool fed = feed.hasNext(r);
+        rs.arrival_rate_per_s = fed ? per_replica_rate : 0.0;
         rs.arrival_process = spec_.arrival_process;
         rs.burst_factor = spec_.burst_factor;
         rs.burst_period_s = spec_.burst_period_s;
-        rs.arrival_trace_ticks = std::move(routed.traces[r]);
+        rs.arrival_source = fed ? &feed.source(r) : nullptr;
         rs.warmup_requests = ceilDiv(opts.warmup_requests, n);
         rs.warmup_s = opts.warmup_s;
         rs.measure_requests = ceilDiv(opts.measure_requests, n);
@@ -333,19 +322,51 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
 
         ReplicaOutcome &o = out[r];
         o.replica = r;
-        o.assigned_candidates = routed.assigned[r];
         o.training = trains[r] != 0;
         o.sim = accel.run(rs);
+        feed.release(r);
     });
+
+    // The replicas have stopped; the rest of the stream is only
+    // counted. Router-side conservation: every candidate reached a
+    // replica or was shed; behind the control plane, replica
+    // assignments are the dispatches plus their hedge duplicates.
+    feed.routeToEnd();
+    ResilienceStats rstats;
+    if (cp_on) {
+        rstats = cp->stats();
+        rstats.training_replicas_shed = training_replicas_shed;
+    }
+    const std::uint64_t generated = feed.generated();
+    const std::uint64_t shed = feed.shed();
+    const std::uint64_t assigned_total =
+        std::accumulate(feed.assigned().begin(), feed.assigned().end(),
+                        std::uint64_t{0});
+    if (cp_on) {
+        EQX_ASSERT(generated == rstats.dispatched + shed, "generated ",
+                   generated, " != dispatched ", rstats.dispatched,
+                   " + shed ", shed);
+        EQX_ASSERT(assigned_total ==
+                       rstats.dispatched + rstats.hedges_issued,
+                   "assigned ", assigned_total, " != dispatched ",
+                   rstats.dispatched, " + hedges ", rstats.hedges_issued);
+    } else {
+        EQX_ASSERT(generated == assigned_total + shed, "generated ",
+                   generated, " != assigned ", assigned_total, " + shed ",
+                   shed);
+    }
+    for (std::size_t r = 0; r < n; ++r)
+        out[r].assigned_candidates = feed.assigned()[r];
 
     // Deterministic merge, replicas in index order.
     ClusterPointResult res;
     res.load = load;
     res.replicas = n;
     res.policy = spec_.policy;
-    res.generated_candidates = routed.generated;
-    res.router_shed = routed.shed;
-    res.rerouted = routed.rerouted;
+    res.generated_candidates = generated;
+    res.router_shed = shed;
+    res.rerouted = feed.rerouted();
+    res.feed_buffer_high_water = feed.bufferHighWater();
     for (const auto &o : out) {
         const sim::SimResult &s = o.sim;
         res.aggregate_inference_ops += s.inference_throughput_ops;
@@ -394,11 +415,10 @@ Cluster::run(double load, const core::ExperimentOptions &opts,
     // deadline is set), normalized per replica-measured-second.
     res.control_plane = cp_on;
     res.resilience = rstats;
-    std::uint64_t total_shed = cp_on ? rstats.totalShed() : routed.shed;
-    if (routed.generated > 0) {
+    if (generated > 0) {
         res.request_availability =
-            1.0 - static_cast<double>(total_shed) /
-                      static_cast<double>(routed.generated);
+            1.0 - static_cast<double>(shed) /
+                      static_cast<double>(generated);
     }
     std::uint64_t inference_offered =
         rstats.admission.offered - rstats.admission.offered_background;

@@ -150,6 +150,13 @@ struct ClusterPointResult
     std::uint64_t router_shed = 0;
     /** Candidates whose first-choice replica was down. */
     std::uint64_t rerouted = 0;
+    /**
+     * Most candidate ticks the arrival feed held for replicas at once
+     * (ArrivalFeed::bufferHighWater): a fraction of
+     * generated_candidates when the replicas pull, all assigned ones
+     * when the training placement routes the whole horizon first.
+     */
+    std::uint64_t feed_buffer_high_water = 0;
 
     // -- fleet aggregates (sums over replicas, measured windows) ------
     double aggregate_inference_ops = 0.0; //!< ops/s
@@ -237,10 +244,15 @@ class Cluster
      * unobserved). Sinks are per-replica state, so the fan-out stays
      * parallel and byte-identical.
      *
-     * Cost note: the router pre-routes the candidate stream over the
-     * FULL opts.max_sim_s horizon (it cannot know when replicas stop
-     * early, and a short trace would change their behaviour), so time
-     * and memory scale with rate x horizon. Size opts.max_sim_s to the
+     * Cost note: the router routes every candidate of the FULL
+     * opts.max_sim_s horizon (the counts it reports cover the
+     * horizon), so routing time scales with rate x horizon. Replicas
+     * pull their ticks from an ArrivalFeed as they read them, so
+     * memory scales with what they read -- unless the training
+     * placement picks a subset of replicas (train_replicas < replicas,
+     * shedding training under overload, or the autoscaler), which
+     * reads full-horizon counts and so routes the whole horizon into
+     * the replicas' buffers first. Size opts.max_sim_s to the
      * simulated time the experiment actually needs, not the
      * single-chip default of 30 s.
      */

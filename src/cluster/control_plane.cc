@@ -5,9 +5,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/min_heap.hh"
-#include "common/random.hh"
-#include "stats/sliding_window.hh"
 
 namespace equinox
 {
@@ -22,26 +19,6 @@ namespace
 // never perturbs the candidate ticks or the priority split.
 constexpr std::uint64_t kPriorityStream = 104729ull;
 constexpr std::uint64_t kJitterStream = 130363ull;
-
-/** One dispatch attempt: a fresh candidate or a backed-off retry. */
-struct DispatchEvent
-{
-    Tick t = 0;
-    std::uint64_t seq = 0; //!< retry push order: FIFO at equal ticks
-    unsigned attempt = 0;  //!< 0 = first offer, > 0 = retry
-    bool background = false;
-};
-
-struct LaterEvent
-{
-    bool
-    operator()(const DispatchEvent &a, const DispatchEvent &b) const
-    {
-        if (a.t != b.t)
-            return a.t > b.t;
-        return a.seq > b.seq;
-    }
-};
 
 } // namespace
 
@@ -137,7 +114,10 @@ ControlPlane::ControlPlane(const ResilienceSpec &spec,
       admission_(spec.admission,
                  spec.admission.rate_factor *
                      static_cast<double>(replicas_) *
-                     router.config().service_rate_per_cycle)
+                     router.config().service_rate_per_cycle),
+      // Only read with hedging on, where validate() guarantees
+      // window >= 1; beginRoute() resets it.
+      hedge_window_(1)
 {
     if (spec_.breaker.enabled) {
         breakers_.reserve(replicas_);
@@ -207,168 +187,196 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
                     Tick max_ticks,
                     const std::vector<RouterSurge> &surges)
 {
-    router_.beginRoute(max_ticks);
     RouterResult res;
     res.traces.resize(replicas_);
     res.assigned.assign(replicas_, 0);
+    ArrivalStream stream(rate_per_cycle, seed, 0, max_ticks, surges);
+    beginRoute(seed, max_ticks);
+    for (RouteStep st; step(stream, st);) {
+        for (std::size_t i = 0; i < st.count; ++i) {
+            res.traces[st.replicas[i]].push_back(st.t);
+            ++res.assigned[st.replicas[i]];
+        }
+    }
+    finishRoute(max_ticks);
+    res.generated = generated_;
+    res.shed = stats_.totalShed();
+    res.rerouted = router_.reroutedCount();
+    return res;
+}
 
-    Rng priority_rng(seed * kPriorityStream + 7);
-    Rng jitter_rng(seed * kJitterStream + 11);
+void
+ControlPlane::beginRoute(std::uint64_t seed, Tick max_ticks)
+{
+    router_.beginRoute(max_ticks);
+    priority_rng_ = Rng(seed * kPriorityStream + 7);
+    jitter_rng_ = Rng(seed * kJitterStream + 11);
+    started_ = false;
+    have_head_ = false;
+    retries_ = {};
+    retry_seq_ = 0;
+    fresh_popped_ = 0;
+    generated_ = 0;
+    retry_tokens_ = spec_.retry.max_budget;
+    hedge_window_ =
+        stats::SlidingWindow(std::max<std::size_t>(spec_.hedge.window, 1));
+}
 
+bool
+ControlPlane::pullFresh(ArrivalStream &stream)
+{
+    // The stream draws from its own Rng, so tagging each candidate as
+    // it is pulled matches tagging every candidate up front.
+    if (!stream.next(head_.t))
+        return false;
+    const double bg_frac = spec_.admission.background_fraction;
+    head_.background = bg_frac > 0.0 && priority_rng_.uniform() < bg_frac;
+    ++generated_;
+    return true;
+}
+
+void
+ControlPlane::shedPriority(bool background)
+{
+    if (background)
+        ++stats_.shed_background_total;
+    else
+        ++stats_.shed_inference_total;
+}
+
+bool
+ControlPlane::step(ArrivalStream &stream, RouteStep &out)
+{
     // Dispatch attempts drain in tick order, so the per-replica traces
     // come out non-decreasing however retries interleave with later
     // arrivals. Fresh candidates come out of the stream in strictly
-    // increasing tick order and are tagged as they are pulled (the
-    // stream draws from its own Rng, so the tags match tagging every
-    // candidate up front); only backed-off retries wait in a heap.
+    // increasing tick order; only backed-off retries wait in a heap.
     // Each round takes the stream's head or the heap's top, whichever
     // is earlier, and the head on a tie: a fresh candidate dispatches
     // before every retry at its tick, and retries keep their push
     // order through their own seq.
-    ArrivalStream stream(rate_per_cycle, seed, 0, max_ticks, surges);
-    const double bg_frac = spec_.admission.background_fraction;
-    DispatchEvent head;
-    auto pullFresh = [&] {
-        if (!stream.next(head.t))
-            return false;
-        head.background =
-            bg_frac > 0.0 && priority_rng.uniform() < bg_frac;
-        ++res.generated;
-        return true;
-    };
-    bool have_head = pullFresh();
-    ReservedMinHeap<DispatchEvent, LaterEvent> retries;
-    std::uint64_t retry_seq = 0;
-    std::uint64_t fresh_popped = 0;
+    out.count = 0;
+    if (!started_) {
+        started_ = true;
+        have_head_ = pullFresh(stream);
+    }
+    if (!have_head_ && retries_.empty())
+        return false;
+    DispatchEvent ev;
+    if (have_head_ && (retries_.empty() || head_.t <= retries_.top().t)) {
+        ev = head_;
+        ++fresh_popped_;
+        have_head_ = pullFresh(stream);
+    } else {
+        ev = retries_.pop();
+    }
+    const Tick t = ev.t;
+    out.t = t;
 
-    double retry_tokens = spec_.retry.max_budget;
-    // Only read with hedging on, where validate() guarantees window >= 1.
-    stats::SlidingWindow hedge_window(
-        std::max<std::size_t>(spec_.hedge.window, 1));
+    router_.drainAll(t);
+    if (spec_.breaker.enabled)
+        observeHealth(t);
 
-    auto shedPriority = [this](bool background) {
-        if (background)
-            ++stats_.shed_background_total;
-        else
-            ++stats_.shed_inference_total;
-    };
-
-    while (have_head || !retries.empty()) {
-        DispatchEvent ev;
-        if (have_head && (retries.empty() || head.t <= retries.top().t)) {
-            ev = head;
-            ++fresh_popped;
-            have_head = pullFresh();
-        } else {
-            ev = retries.pop();
-        }
-        const Tick t = ev.t;
-
-        router_.drainAll(t);
-        if (spec_.breaker.enabled)
-            observeHealth(t);
-
-        if (ev.attempt == 0) {
-            double mean_backlog = router_.meanBacklog();
-            if (mean_backlog > spec_.training_shed_backlog)
-                ++stats_.overload_candidates;
-            if (!admission_.offer(t, ev.background, mean_backlog)) {
-                shedPriority(ev.background);
-                continue;
-            }
-        }
-
-        std::size_t r = router_.pick(t);
-        if (r == kNoReplica) {
-            // No replica available. Distinguish "breakers vetoed an
-            // otherwise-alive fleet" for the accounting, then spend a
-            // retry token if the budget and attempt cap allow.
-            bool any_alive = false;
-            for (std::size_t i = 0; i < replicas_ && !any_alive; ++i)
-                any_alive = router_.alive(i, t);
-            if (any_alive && spec_.breaker.enabled)
-                ++stats_.breaker_denials;
-
-            if (spec_.retry.enabled &&
-                ev.attempt + 1 < spec_.retry.max_attempts) {
-                if (retry_tokens >= 1.0) {
-                    retry_tokens -= 1.0;
-                    ++stats_.retry_attempts;
-                    double backoff =
-                        static_cast<double>(
-                            spec_.retry.base_backoff_cycles) *
-                        std::pow(spec_.retry.backoff_multiplier,
-                                 static_cast<double>(ev.attempt));
-                    backoff *= 1.0 + spec_.retry.jitter_frac *
-                                         jitter_rng.uniform();
-                    Tick delay = std::max<Tick>(
-                        1, static_cast<Tick>(backoff));
-                    retries.push({t + delay, retry_seq++,
-                                  ev.attempt + 1, ev.background});
-                    // Fresh candidates not yet offered plus pending
-                    // retries never exceed the candidate count: each
-                    // round takes one attempt and pushes at most one.
-                    EQX_ASSERT(retries.size() <= fresh_popped,
-                               "retry heap holds ", retries.size(),
-                               " retries after ", fresh_popped,
-                               " fresh offers");
-                    continue;
-                }
-                ++stats_.retry_budget_exhausted;
-            }
-            if (ev.attempt > 0)
-                ++stats_.retry_shed;
-            else
-                ++stats_.outage_shed;
+    if (ev.attempt == 0) {
+        double mean_backlog = router_.meanBacklog();
+        if (mean_backlog > spec_.training_shed_backlog)
+            ++stats_.overload_candidates;
+        if (!admission_.offer(t, ev.background, mean_backlog)) {
             shedPriority(ev.background);
-            continue;
-        }
-
-        if (ev.attempt > 0)
-            ++stats_.retry_recovered;
-        res.traces[r].push_back(t);
-        ++res.assigned[r];
-        ++stats_.dispatched;
-        if (ev.background)
-            ++stats_.dispatched_background;
-        retry_tokens = std::min(spec_.retry.max_budget,
-                                retry_tokens + spec_.retry.budget_ratio);
-
-        double est = router_.estimator(r).lastAssignmentEstimateCycles();
-        admission_.noteDispatch(est);
-
-        if (spec_.hedge.enabled) {
-            // The hedge budget compares against dispatches so far, so
-            // sustained overload (every estimate past the window p99)
-            // settles at the cap instead of doubling offered load.
-            bool budget_ok =
-                static_cast<double>(stats_.hedges_issued) <
-                spec_.hedge.max_hedge_fraction *
-                    static_cast<double>(stats_.dispatched);
-            if (budget_ok &&
-                hedge_window.size() >= spec_.hedge.min_samples &&
-                est > spec_.hedge.latency_factor *
-                          hedge_window.percentile(0.99)) {
-                std::size_t alt = router_.pickAlternate(t, r);
-                if (alt != kNoReplica) {
-                    router_.assignTo(alt, t);
-                    res.traces[alt].push_back(t);
-                    ++res.assigned[alt];
-                    ++stats_.hedges_issued;
-                    // First-wins against the causal model: the copy
-                    // predicted faster wins; the loser is accounted
-                    // cancelled but still occupies its replica (the
-                    // honest capacity cost of hedging).
-                    double est_alt = router_.estimator(alt)
-                                         .lastAssignmentEstimateCycles();
-                    if (est_alt < est)
-                        ++stats_.hedge_wins;
-                }
-            }
-            hedge_window.push(est);
+            return true;
         }
     }
 
+    std::size_t r = router_.pick(t);
+    if (r == kNoReplica) {
+        // No replica available. Distinguish "breakers vetoed an
+        // otherwise-alive fleet" for the accounting, then spend a
+        // retry token if the budget and attempt cap allow.
+        bool any_alive = false;
+        for (std::size_t i = 0; i < replicas_ && !any_alive; ++i)
+            any_alive = router_.alive(i, t);
+        if (any_alive && spec_.breaker.enabled)
+            ++stats_.breaker_denials;
+
+        if (spec_.retry.enabled &&
+            ev.attempt + 1 < spec_.retry.max_attempts) {
+            if (retry_tokens_ >= 1.0) {
+                retry_tokens_ -= 1.0;
+                ++stats_.retry_attempts;
+                double backoff =
+                    static_cast<double>(spec_.retry.base_backoff_cycles) *
+                    std::pow(spec_.retry.backoff_multiplier,
+                             static_cast<double>(ev.attempt));
+                backoff *=
+                    1.0 + spec_.retry.jitter_frac * jitter_rng_.uniform();
+                Tick delay =
+                    std::max<Tick>(1, static_cast<Tick>(backoff));
+                retries_.push({t + delay, retry_seq_++, ev.attempt + 1,
+                               ev.background});
+                // Fresh candidates not yet offered plus pending
+                // retries never exceed the candidate count: each round
+                // takes one attempt and pushes at most one.
+                EQX_ASSERT(retries_.size() <= fresh_popped_,
+                           "retry heap holds ", retries_.size(),
+                           " retries after ", fresh_popped_,
+                           " fresh offers");
+                return true;
+            }
+            ++stats_.retry_budget_exhausted;
+        }
+        if (ev.attempt > 0)
+            ++stats_.retry_shed;
+        else
+            ++stats_.outage_shed;
+        shedPriority(ev.background);
+        return true;
+    }
+
+    if (ev.attempt > 0)
+        ++stats_.retry_recovered;
+    out.add(r);
+    ++stats_.dispatched;
+    if (ev.background)
+        ++stats_.dispatched_background;
+    retry_tokens_ = std::min(spec_.retry.max_budget,
+                             retry_tokens_ + spec_.retry.budget_ratio);
+
+    double est = router_.estimator(r).lastAssignmentEstimateCycles();
+    admission_.noteDispatch(est);
+
+    if (spec_.hedge.enabled) {
+        // The hedge budget compares against dispatches so far, so
+        // sustained overload (every estimate past the window p99)
+        // settles at the cap instead of doubling offered load.
+        bool budget_ok = static_cast<double>(stats_.hedges_issued) <
+                         spec_.hedge.max_hedge_fraction *
+                             static_cast<double>(stats_.dispatched);
+        if (budget_ok && hedge_window_.size() >= spec_.hedge.min_samples &&
+            est > spec_.hedge.latency_factor *
+                      hedge_window_.percentile(0.99)) {
+            std::size_t alt = router_.pickAlternate(t, r);
+            if (alt != kNoReplica) {
+                router_.assignTo(alt, t);
+                out.add(alt);
+                ++stats_.hedges_issued;
+                // First-wins against the causal model: the copy
+                // predicted faster wins; the loser is accounted
+                // cancelled but still occupies its replica (the honest
+                // capacity cost of hedging).
+                double est_alt =
+                    router_.estimator(alt).lastAssignmentEstimateCycles();
+                if (est_alt < est)
+                    ++stats_.hedge_wins;
+            }
+        }
+        hedge_window_.push(est);
+    }
+    return true;
+}
+
+void
+ControlPlane::finishRoute(Tick max_ticks)
+{
     router_.finishRoute(max_ticks);
     EQX_ASSERT(router_.shedCount() == stats_.retry_attempts +
                                           stats_.retry_shed +
@@ -377,8 +385,11 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
     // Before the first offer all `generated` candidates are pending,
     // and the retry-push assertion keeps the pending count at or
     // below that afterwards.
-    stats_.dispatch_heap_high_water = res.generated;
-    stats_.retry_heap_high_water = retries.highWater();
+    stats_.dispatch_heap_high_water = generated_;
+    stats_.retry_heap_high_water = retries_.highWater();
+    // The pass drained the heap; hand its storage back, since the
+    // replicas may still be running.
+    retries_ = {};
 
     for (const auto &b : breakers_) {
         stats_.breaker_opens += b.opens();
@@ -386,9 +397,6 @@ ControlPlane::route(double rate_per_cycle, std::uint64_t seed,
         stats_.breaker_closes += b.closes();
     }
     stats_.admission = admission_.stats();
-    res.shed = stats_.totalShed();
-    res.rerouted = router_.reroutedCount();
-    return res;
 }
 
 } // namespace cluster

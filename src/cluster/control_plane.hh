@@ -51,6 +51,9 @@
 #include "cluster/circuit_breaker.hh"
 #include "cluster/fleet.hh"
 #include "cluster/router.hh"
+#include "common/min_heap.hh"
+#include "common/random.hh"
+#include "stats/sliding_window.hh"
 
 namespace equinox
 {
@@ -212,6 +215,22 @@ class ControlPlane
                        Tick max_ticks,
                        const std::vector<RouterSurge> &surges = {});
 
+    /**
+     * route() one dispatch round at a time: beginRoute(), then step()
+     * until it returns false, then finishRoute(). Each step takes the
+     * earlier of @p stream's head and the first backed-off retry (the
+     * head on a tie) and records in @p out the replicas it assigned
+     * the round's tick to -- none when the round shed the candidate or
+     * backed it off. @p stream must be the same object on every step.
+     */
+    void beginRoute(std::uint64_t seed, Tick max_ticks);
+    bool step(ArrivalStream &stream, RouteStep &out);
+    /** Close the pass: the final stats() and the router's horizon. */
+    void finishRoute(Tick max_ticks);
+
+    /** Candidates step() has pulled from its stream. */
+    std::uint64_t generated() const { return generated_; }
+
     const ResilienceStats &stats() const { return stats_; }
 
     /** Fraction of candidates that arrived during fleet overload. */
@@ -221,7 +240,28 @@ class ControlPlane
     ControlPlane(const ResilienceSpec &spec,
                  std::unique_ptr<FleetRouter> owned);
 
+    /** One dispatch attempt: a fresh candidate or a backed-off retry. */
+    struct DispatchEvent
+    {
+        Tick t = 0;
+        std::uint64_t seq = 0; //!< retry push order: FIFO at equal ticks
+        unsigned attempt = 0;  //!< 0 = first offer, > 0 = retry
+        bool background = false;
+    };
+    struct LaterEvent
+    {
+        bool
+        operator()(const DispatchEvent &a, const DispatchEvent &b) const
+        {
+            if (a.t != b.t)
+                return a.t > b.t;
+            return a.seq > b.seq;
+        }
+    };
+
     void observeHealth(Tick t);
+    bool pullFresh(ArrivalStream &stream);
+    void shedPriority(bool background);
 
     ResilienceSpec spec_;
     std::size_t replicas_;
@@ -231,6 +271,20 @@ class ControlPlane
     AdmissionController admission_;
     std::vector<CircuitBreaker> breakers_;
     ResilienceStats stats_;
+
+    // -- the routing pass in progress (beginRoute() resets it) --------
+    Rng priority_rng_;
+    Rng jitter_rng_;
+    /** The stream's next candidate, tagged; valid when have_head_. */
+    DispatchEvent head_;
+    bool started_ = false;
+    bool have_head_ = false;
+    ReservedMinHeap<DispatchEvent, LaterEvent> retries_;
+    std::uint64_t retry_seq_ = 0;
+    std::uint64_t fresh_popped_ = 0;
+    std::uint64_t generated_ = 0;
+    double retry_tokens_ = 0.0;
+    stats::SlidingWindow hedge_window_;
 };
 
 } // namespace cluster

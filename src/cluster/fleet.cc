@@ -515,6 +515,19 @@ FleetRouter::reroutedCount() const
     return rerouted;
 }
 
+bool
+FleetRouter::step(ArrivalStream &stream, RouteStep &out)
+{
+    out.count = 0;
+    if (!stream.next(out.t))
+        return false;
+    ++generated_;
+    std::size_t g = pick(out.t);
+    if (g != kNoReplica)
+        out.add(g);
+    return true;
+}
+
 RouterResult
 FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
                    Tick max_ticks, const std::vector<RouterSurge> &surges)
@@ -525,15 +538,14 @@ FleetRouter::route(double rate_per_cycle, std::uint64_t seed,
     res.assigned.assign(cfg_.replicas, 0);
 
     ArrivalStream stream(rate_per_cycle, seed, 0, max_ticks, surges);
-    for (Tick t = 0; stream.next(t);) {
-        ++res.generated;
-        std::size_t g = pick(t);
-        if (g != kNoReplica) {
-            res.traces[g].push_back(t);
-            ++res.assigned[g];
+    for (RouteStep st; step(stream, st);) {
+        for (std::size_t i = 0; i < st.count; ++i) {
+            res.traces[st.replicas[i]].push_back(st.t);
+            ++res.assigned[st.replicas[i]];
         }
     }
     finishRoute(max_ticks);
+    res.generated = generated_;
     res.shed = shedCount();
     res.rerouted = reroutedCount();
     return res;

@@ -206,6 +206,16 @@ class FleetRouter
                        const std::vector<RouterSurge> &surges = {});
 
     /**
+     * One step of route(): pull @p stream's next candidate into
+     * @p out and pick its replica. False once the stream is exhausted.
+     * Callers bracket the steps with beginRoute() and finishRoute().
+     */
+    bool step(ArrivalStream &stream, RouteStep &out);
+
+    /** Candidates step() has pulled from its stream. */
+    std::uint64_t generated() const { return generated_; }
+
+    /**
      * Route one candidate at @p t: autoscaler bookkeeping, shard pick
      * (skipped with one shard), inner replica pick; returns the global
      * replica index or kNoReplica.
@@ -308,6 +318,7 @@ class FleetRouter
     std::vector<char> shard_has_outage_;
     std::size_t shard_rr_ = 0;
     std::uint64_t shard_rerouted_ = 0;
+    std::uint64_t generated_ = 0;
     std::function<bool(std::size_t, Tick)> veto_;
 
     // -- autoscaler state (untouched when cfg_.autoscale is false) ----

@@ -73,6 +73,25 @@ struct RouterResult
 };
 
 /**
+ * Where one routing step sent its candidate tick: to no replica (shed,
+ * or backed off for a retry), to one, or -- a hedged dispatch -- to a
+ * primary and its duplicate. FleetRouter::step and ControlPlane::step
+ * fill it one candidate (one dispatch round) at a time.
+ */
+struct RouteStep
+{
+    Tick t = 0;
+    std::size_t count = 0;
+    std::size_t replicas[2] = {kNoReplica, kNoReplica};
+
+    void
+    add(std::size_t r)
+    {
+        replicas[count++] = r;
+    }
+};
+
+/**
  * Picks one replica per candidate by policy: the replica tier of
  * FleetRouter, one Router per shard.
  */

@@ -68,6 +68,22 @@ enum class ArrivalProcess
     Bursty,  //!< on/off-modulated Poisson with the same mean rate
 };
 
+/**
+ * A pull source of service 0's arrival candidates, read one tick at a
+ * time in place of RunSpec::arrival_trace_ticks. The dispatcher calls
+ * next() where it would read the trace's next entry -- at tick 0 for
+ * the first candidate, then at each candidate's own tick -- so a source
+ * that yields a trace's ticks drives a run byte-identical to the
+ * trace. Ticks must come out ascending.
+ */
+class ArrivalSource
+{
+  public:
+    virtual ~ArrivalSource() = default;
+    /** Store the next candidate tick in @p t; false once exhausted. */
+    virtual bool next(Tick &t) = 0;
+};
+
 /** Parameters of one simulation run. */
 struct RunSpec
 {
@@ -92,10 +108,15 @@ struct RunSpec
      * chained scheduling, bursty thinning, shedding -- so a run fed
      * the exact candidate ticks a stochastic run would have drawn is
      * byte-identical to it. Entries are candidates, not admissions.
-     * This is the cluster router's feed: the router splits one global
-     * arrival stream into per-replica traces.
      */
     std::vector<Tick> arrival_trace_ticks;
+    /**
+     * Non-owning pull source for service 0's candidates; when set it
+     * replaces arrival_trace_ticks, with the same semantics. The
+     * cluster's ArrivalFeed hands each replica one, so the router
+     * routes only as far as the replica reads.
+     */
+    ArrivalSource *arrival_source = nullptr;
     /** Requests completed before measurement starts. */
     std::uint64_t warmup_requests = 200;
     /** Minimum simulated warmup time (both conditions must hold). */

@@ -43,7 +43,6 @@ RequestDispatcher::resetRun()
     batches_incomplete = 0;
     batch_fill_sum = 0.0;
     requests_admitted = 0;
-    trace_pos = 0;
 }
 
 void
@@ -94,15 +93,14 @@ RequestDispatcher::registerStats(stats::StatRegistry &reg)
 void
 RequestDispatcher::beginRun()
 {
-    if (!ctx.spec.arrival_trace_ticks.empty()) {
-        EQX_ASSERT(!ctx.services.empty(),
-                   "arrival trace needs an inference service");
-        Tick prev = 0;
-        for (Tick t : ctx.spec.arrival_trace_ticks) {
-            EQX_ASSERT(t >= prev, "tick trace must be ascending");
-            prev = t;
-        }
+    trace = ctx.spec.arrival_source;
+    if (!trace && !ctx.spec.arrival_trace_ticks.empty()) {
+        playback.reset(&ctx.spec.arrival_trace_ticks);
+        trace = &playback;
     }
+    trace_prev = 0;
+    EQX_ASSERT(!trace || !ctx.services.empty(),
+               "arrival trace needs an inference service");
     ctx.inference_load = false;
     ctx.full_pending_services = 0; // every pending queue clears below
     for (std::size_t i = 0; i < ctx.services.size(); ++i) {
@@ -126,7 +124,7 @@ RequestDispatcher::beginRun()
         svc.arrivals =
             ArrivalStream(rate_per_cycle, ctx.spec.seed, svc.id, kTickMax);
         ctx.inference_load = ctx.inference_load || rate > 0.0;
-        if (i == 0 && !ctx.spec.arrival_trace_ticks.empty())
+        if (i == 0 && trace)
             ctx.inference_load = true;
         scheduleNextArrival(i);
     }
@@ -140,15 +138,17 @@ RequestDispatcher::scheduleNextArrival(std::size_t svc_idx)
     // Every call runs at the previous candidate's tick (or at tick 0 in
     // beginRun), so scheduling the candidate at its absolute tick keeps
     // the event insertion sequence -- and thus same-tick FIFO order --
-    // of drawing one wait at a time. A tick trace for service 0 replaces
-    // its stream candidate for candidate; bursty thinning and shedding
-    // still apply at arrival time, so a run fed the ticks a stochastic
-    // run would have drawn is byte-identical to it.
+    // of drawing one wait at a time. A trace (or arrival source) for
+    // service 0 replaces its stream candidate for candidate; bursty
+    // thinning and shedding still apply at arrival time, so a run fed
+    // the ticks a stochastic run would have drawn is byte-identical to
+    // it.
     Tick t = 0;
-    if (svc_idx == 0 && !ctx.spec.arrival_trace_ticks.empty()) {
-        if (trace_pos >= ctx.spec.arrival_trace_ticks.size())
+    if (svc_idx == 0 && trace) {
+        if (!trace->next(t))
             return;
-        t = ctx.spec.arrival_trace_ticks[trace_pos++];
+        EQX_ASSERT(t >= trace_prev, "tick trace must be ascending");
+        trace_prev = t;
     } else if (!ctx.services[svc_idx]->arrivals.next(t)) {
         return;
     }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "sim/accelerator_types.hh"
 #include "sim/blocks/inf_types.hh"
 #include "sim/blocks/sim_block.hh"
 
@@ -45,9 +46,9 @@ class RequestDispatcher final : public SimBlock
      * Reset every installed service's run state (queues, and an
      * arrival stream re-seeded from the spec: service i draws stream
      * i) and schedule each service's first arrival in install order,
-     * service 0's from the tick trace when one is set. Sets
-     * ctx.inference_load. Must run at tick 0, before the event loop
-     * starts.
+     * service 0's from the arrival source or tick trace when one is
+     * set. Sets ctx.inference_load. Must run at tick 0, before the
+     * event loop starts.
      */
     void beginRun();
 
@@ -63,6 +64,30 @@ class RequestDispatcher final : public SimBlock
     double batchFillSum() const { return batch_fill_sum; }
 
   private:
+    /** Plays RunSpec::arrival_trace_ticks back as an ArrivalSource. */
+    class TracePlayback final : public ArrivalSource
+    {
+      public:
+        void
+        reset(const std::vector<Tick> *ticks)
+        {
+            ticks_ = ticks;
+            pos_ = 0;
+        }
+        bool
+        next(Tick &t) override
+        {
+            if (pos_ >= ticks_->size())
+                return false;
+            t = (*ticks_)[pos_++];
+            return true;
+        }
+
+      private:
+        const std::vector<Tick> *ticks_ = nullptr;
+        std::size_t pos_ = 0;
+    };
+
     void onRequestArrival(std::size_t svc_idx);
     void scheduleNextArrival(std::size_t svc_idx);
     bool inBurstOnPhase() const;
@@ -82,8 +107,11 @@ class RequestDispatcher final : public SimBlock
     // run totals (observability only)
     std::uint64_t requests_admitted = 0;
 
-    /** Next unplayed entry of spec.arrival_trace_ticks (service 0). */
-    std::size_t trace_pos = 0;
+    /** Service 0's candidate source this run; null = its stream. */
+    ArrivalSource *trace = nullptr;
+    TracePlayback playback;
+    /** The last tick read from `trace` (reads must ascend). */
+    Tick trace_prev = 0;
 };
 
 } // namespace sim

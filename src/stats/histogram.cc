@@ -22,7 +22,6 @@ LatencyTracker::record(double sample)
     }
     samples.push_back(sample);
     sum += sample;
-    sorted = false;
 }
 
 double
@@ -33,51 +32,47 @@ LatencyTracker::mean() const
     return sum / static_cast<double>(samples.size());
 }
 
-void
-LatencyTracker::ensureSorted() const
-{
-    if (!sorted) {
-        std::sort(samples.begin(), samples.end());
-        sorted = true;
-    }
-}
-
 double
 LatencyTracker::min() const
 {
-    if (samples.empty())
-        return 0.0;
-    ensureSorted();
-    return samples.front();
+    return samples.empty()
+               ? 0.0
+               : *std::min_element(samples.begin(), samples.end());
 }
 
 double
 LatencyTracker::max() const
 {
-    if (samples.empty())
-        return 0.0;
-    ensureSorted();
-    return samples.back();
+    return samples.empty()
+               ? 0.0
+               : *std::max_element(samples.begin(), samples.end());
+}
+
+PercentileRank
+percentileRank(std::size_t n, double p)
+{
+    EQX_ASSERT(p >= 0.0 && p <= 1.0, "quantile out of range: ", p);
+    EQX_ASSERT(n > 0, "percentile of an empty sample set");
+    PercentileRank r;
+    if (n == 1)
+        return r;
+    double rank = p * static_cast<double>(n - 1);
+    r.lo = static_cast<std::size_t>(rank);
+    r.frac = rank - static_cast<double>(r.lo);
+    // Exact-rank queries return the order statistic itself: mixing in
+    // the neighbour with weight 0 would turn an infinite neighbour into
+    // 0 * inf = NaN.
+    r.exact = r.frac == 0.0 || r.lo + 1 >= n;
+    return r;
 }
 
 double
 exactPercentileSorted(const std::vector<double> &sorted, double p)
 {
-    EQX_ASSERT(p >= 0.0 && p <= 1.0, "quantile out of range: ", p);
-    EQX_ASSERT(!sorted.empty(), "percentile of an empty sample set");
-    if (sorted.size() == 1)
-        return sorted.front();
-
-    double rank = p * static_cast<double>(sorted.size() - 1);
-    auto lo_idx = static_cast<std::size_t>(rank);
-    double frac = rank - static_cast<double>(lo_idx);
-    if (frac == 0.0 || lo_idx + 1 >= sorted.size()) {
-        // Exact-rank queries return the order statistic itself: mixing
-        // in the neighbour with weight 0 would turn an infinite
-        // neighbour into 0 * inf = NaN.
-        return sorted[lo_idx];
-    }
-    return sorted[lo_idx] * (1.0 - frac) + sorted[lo_idx + 1] * frac;
+    const PercentileRank r = percentileRank(sorted.size(), p);
+    if (r.exact)
+        return sorted[r.lo];
+    return r.interpolate(sorted[r.lo], sorted[r.lo + 1]);
 }
 
 double
@@ -87,8 +82,14 @@ LatencyTracker::percentile(double p) const
         EQX_ASSERT(p >= 0.0 && p <= 1.0, "quantile out of range: ", p);
         return 0.0;
     }
-    ensureSorted();
-    return exactPercentileSorted(samples, p);
+    // Order statistic lo by selection; order statistic lo + 1 is then
+    // the least sample of the part above it.
+    const PercentileRank r = percentileRank(samples.size(), p);
+    const auto lo = samples.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    std::nth_element(samples.begin(), lo, samples.end());
+    if (r.exact)
+        return *lo;
+    return r.interpolate(*lo, *std::min_element(lo + 1, samples.end()));
 }
 
 void
@@ -101,23 +102,18 @@ LatencyTracker::merge(const LatencyTracker &other)
         samples.insert(samples.end(), copy.begin(), copy.end());
         sum += sum;
         nan_rejected += nan_rejected;
-        if (!copy.empty())
-            sorted = false;
         return;
     }
     samples.insert(samples.end(), other.samples.begin(),
                    other.samples.end());
     sum += other.sum;
     nan_rejected += other.nan_rejected;
-    if (!other.samples.empty())
-        sorted = false;
 }
 
 void
 LatencyTracker::reset()
 {
     samples.clear();
-    sorted = true;
     sum = 0.0;
     nan_rejected = 0;
 }

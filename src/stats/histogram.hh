@@ -33,6 +33,29 @@ namespace stats
  */
 double exactPercentileSorted(const std::vector<double> &sorted, double p);
 
+/**
+ * The rank arithmetic of exactPercentileSorted, shared with every
+ * percentile that finds its order statistics another way: the p-quantile
+ * of @p n samples is order statistic `lo` alone when `exact`, else
+ * interpolate(order statistic lo, order statistic lo + 1).
+ */
+struct PercentileRank
+{
+    std::size_t lo = 0;
+    double frac = 0.0;
+    bool exact = true;
+
+    /** The quantile between the two order statistics. */
+    double
+    interpolate(double lo_value, double hi_value) const
+    {
+        return lo_value * (1.0 - frac) + hi_value * frac;
+    }
+};
+
+/** Rank of the p-quantile of @p n >= 1 samples, p in [0, 1]. */
+PercentileRank percentileRank(std::size_t n, double p);
+
 /** Exact sample set with percentile queries. */
 class LatencyTracker
 {
@@ -58,7 +81,8 @@ class LatencyTracker
     double max() const;
 
     /**
-     * Exact p-quantile via linear interpolation between order statistics.
+     * Exact p-quantile via linear interpolation between order statistics,
+     * found by selection (linear time; it reorders the sample buffer).
      * @param p in [0, 1]; e.g. 0.99 for the 99th percentile.
      */
     double percentile(double p) const;
@@ -81,11 +105,7 @@ class LatencyTracker
     void reset();
 
   private:
-    /** Sort the sample buffer if new samples arrived since the last sort. */
-    void ensureSorted() const;
-
     mutable std::vector<double> samples;
-    mutable bool sorted = true;
     double sum = 0.0;
     std::uint64_t nan_rejected = 0;
 };

@@ -41,7 +41,7 @@ sweepOptions()
     opts.warmup_requests = 30;
     opts.measure_requests = 300;
     opts.seed = 17;
-    // The router pre-routes the whole horizon; runs here finish in a
+    // The router routes the whole horizon; runs here finish in a
     // couple of simulated milliseconds, so 20 ms is ample and keeps
     // the candidate streams small.
     opts.max_sim_s = 0.02;

@@ -57,7 +57,7 @@ baseOptions()
     opts.measure_requests = 300;
     opts.seed = 17;
     // Runs here need a couple of simulated milliseconds; a tight
-    // horizon keeps the pre-routed candidate streams small.
+    // horizon keeps the routed candidate streams small.
     opts.max_sim_s = 0.02;
     return opts;
 }

@@ -34,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -46,6 +47,7 @@
 #include "core/experiment.hh"
 #include "core/presets.hh"
 #include "fault/chaos_plan.hh"
+#include "sim/blocks/trace.hh"
 #include "sim_digest.hh"
 #include "stats/registry.hh"
 
@@ -400,6 +402,95 @@ TEST(FastForwardDifferential, ReferencePathReproducesGoldenDigest)
     EXPECT_EQ(res.fills_deferred, 0u);
     EXPECT_EQ(testutil::digestOf(res),
               testutil::kGoldenFaultFreePriority);
+}
+
+// ---------------------------------------------------------------------
+// Arrivals on staging-fill landings
+// ---------------------------------------------------------------------
+
+/**
+ * A training run fed the candidate trace @p trace, on DRAM slow enough
+ * that staging fills issued while the array computes land long after
+ * it has gone idle waiting for them. With @p issues set, records the
+ * ticks of every training chunk issue.
+ */
+CaseOutcome
+runSlowStaging(const std::vector<Tick> &trace, bool fast_forward,
+               std::vector<Tick> *issues = nullptr)
+{
+    auto cfg = testutil::smallConfig("fill-ties");
+    cfg.sched_policy = sim::SchedPolicy::Priority;
+    cfg.batch_policy = sim::BatchPolicy::Static;
+    cfg.dram.bandwidth_bytes_per_s = 3e9;
+    workload::Compiler compiler(cfg);
+    sim::Accelerator accel(cfg);
+    accel.installInference(compiler.compileInference(testutil::tinyRnn()));
+    accel.installTraining(compiler.compileTraining(testutil::tinyRnn(), 16));
+    sim::VectorTraceSink sink;
+    if (issues)
+        accel.setTraceSink(&sink);
+    sim::RunSpec spec;
+    spec.warmup_requests = 16;
+    spec.measure_requests = 160;
+    spec.max_sim_s = 4e-3;
+    spec.seed = 3;
+    spec.arrival_trace_ticks = trace;
+    spec.fast_forward = fast_forward;
+    CaseOutcome out = outcomeOf(accel, accel.run(spec));
+    if (issues) {
+        for (const auto &ev : sink.events()) {
+            if (ev.type == sim::TraceEventType::TrainChunkIssue)
+                issues->push_back(ev.tick);
+        }
+    }
+    return out;
+}
+
+TEST(FastForwardDifferential, ArrivalsOnStagingFillLandingsAreBitIdentical)
+{
+    // A training chunk that issues after an idle spell was waiting for
+    // the staging fill that landed at that tick. The fast-forwarded run
+    // deferred that fill while the array was busy and made it an event
+    // again, under the seq reserved at its issue, when the array went
+    // idle. Each case puts an arrival exactly on such a tick, with the
+    // arrival before it -- the one that schedules it -- moved back to
+    // while the array was still busy: the arrival's seq then falls
+    // between the fill's issue and its materialization, and the fill
+    // must still land first, as on the reference path, where it was an
+    // event all along. Landing second costs the arrival a scheduling
+    // round of its own, which the compared statistics count.
+    constexpr Tick kLead = 8000;
+    std::uint64_t cases = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        std::vector<Tick> base;
+        ArrivalStream stream(1e-3, seed, 0, 400000);
+        for (Tick t = 0; stream.next(t);)
+            base.push_back(t);
+        std::vector<Tick> issues;
+        runSlowStaging(base, false, &issues);
+        ASSERT_GT(issues.size(), 140u);
+        for (std::size_t i = 100; i < 140; ++i) {
+            const Tick landing = issues[i];
+            std::vector<Tick> trace;
+            for (Tick t : base) {
+                if (t + kLead < landing || t >= landing)
+                    trace.push_back(t);
+            }
+            for (Tick t : {landing - kLead, landing})
+                trace.insert(std::upper_bound(trace.begin(), trace.end(), t),
+                             t);
+            SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                              << ", arrival at tick "
+                                              << landing);
+            CaseOutcome ff = runSlowStaging(trace, true);
+            expectSameRun(ff, runSlowStaging(trace, false));
+            cases += ff.fills_deferred > 0;
+        }
+    }
+    // A case counts when its fast-forwarded run landed some fill
+    // without an event (about 140 of the 320 do): the sweep must not go
+    // vacuous because deferral stopped.
+    EXPECT_GT(cases, 100u);
 }
 
 // ---------------------------------------------------------------------
