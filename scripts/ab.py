@@ -24,7 +24,10 @@ number is wall clock:
 
 For each target the report prints both sides' median and IQR, the
 median of the per-pair change/base ratios and how many pairs the
-change lost (ran slower). The verdict is judge()'s. The script exits
+change lost (ran slower). The verdict is judge()'s. For a bench it
+also prints both sides' `events_dispatched` from the same records:
+the count is deterministic, so an exact change in the simulator's
+work shows even where the wall-time verdict is `unresolved`. The script exits
 1 on a regression, on a run that exits nonzero, and on a missing or
 wrong record; a target whose base runs are too noisy to tell is
 printed as `unresolved`, which is not a failure.
@@ -137,8 +140,34 @@ def build(tree, targets):
        stdout=subprocess.DEVNULL)
 
 
+def events_line(target, base, change):
+    """Report line of both sides' events_dispatched for bench @target,
+    from the counts of its runs (@base, @change).
+
+    >>> events_line("fig9_training_throughput", [7920000] * 10,
+    ...             [3130000] * 10)
+    'ab: fig9_training_throughput: events_dispatched base 7920000, change 3130000 (0.395x)'
+    >>> events_line("fig2_convergence", [0] * 10, [0] * 10)
+    'ab: fig2_convergence: events_dispatched base 0, change 0'
+
+    A side whose runs disagree prints its range:
+
+    >>> events_line("fleet_scaling", [5, 5, 6], [5, 5, 5])
+    'ab: fleet_scaling: events_dispatched base 5..6, change 5'
+    """
+    def span(xs):
+        lo, hi = min(xs), max(xs)
+        return str(lo) if lo == hi else f"{lo}..{hi}"
+    line = (f"ab: {target}: events_dispatched base {span(base)}, "
+            f"change {span(change)}")
+    if len(set(base)) == 1 and len(set(change)) == 1 and base[0] > 0:
+        line += f" ({change[0] / base[0]:.3g}x)"
+    return line
+
+
 def time_bench(tree, side, target):
-    """Wall seconds from one fresh BENCH record of bench @target."""
+    """Wall seconds and events_dispatched from one fresh BENCH record
+    of bench @target."""
     run_dir = os.path.join(AB_DIR, "run", side, target)
     os.makedirs(run_dir, exist_ok=True)
     record_path = os.path.join(run_dir, f"BENCH_{target}.json")
@@ -162,11 +191,16 @@ def time_bench(tree, side, target):
     if not isinstance(wall, (int, float)) or wall <= 0:
         raise GateError(f"{side} {target}'s record has no positive "
                         f"wall_seconds ({wall!r})")
-    return float(wall)
+    events = record.get("events_dispatched")
+    if not isinstance(events, int) or events < 0:
+        raise GateError(f"{side} {target}'s record has no "
+                        f"events_dispatched count ({events!r})")
+    return float(wall), events
 
 
 def time_perfbench(tree, side, target):
-    """wall_s of one perfbench run of workload @target in @tree."""
+    """wall_s of one perfbench run of workload @target in @tree, and
+    None for the event count (perfbench reports its own)."""
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", target, "--seed", "1", "--seconds",
@@ -184,7 +218,7 @@ def time_perfbench(tree, side, target):
     if failed:
         raise GateError(f"{side} perfbench {target}: {failed} failed "
                         "operations")
-    return wall
+    return wall, None
 
 
 def compare(target):
@@ -192,16 +226,22 @@ def compare(target):
     trees = {"base": BASE_TREE, "change": ROOT}
     timer = time_bench if is_bench(ROOT, target) else time_perfbench
     times = {"base": [], "change": []}
+    events = {"base": [], "change": []}
     for i in range(PAIRS):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            times[side].append(timer(trees[side], side, target))
+            wall, n = timer(trees[side], side, target)
+            times[side].append(wall)
+            events[side].append(n)
     v = judge(times["base"], times["change"])
     print(f"ab: {target}: base {statistics.median(times['base']):.4g} s "
           f"(IQR {iqr(times['base']):.3g}), change "
           f"{statistics.median(times['change']):.4g} s "
           f"(IQR {iqr(times['change']):.3g}), ratio {v.ratio:.3f}, "
           f"lost {v.lost}/{PAIRS}: {v.status}", flush=True)
+    if events["base"][0] is not None:
+        print(events_line(target, events["base"], events["change"]),
+              flush=True)
     return v
 
 

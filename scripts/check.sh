@@ -25,16 +25,18 @@
 #                                # passthrough/differential tier)
 #   scripts/check.sh --bench-smoke [BASE_REV]
 #                                # A/B the perf-tracking benches (fig2,
-#                                # fig7, fig9, event kernel, cluster
-#                                # scaling, overload resilience, fleet
-#                                # scaling, memory hierarchy, fault
-#                                # tolerance) against BASE_REV
+#                                # fig7, fig9, fig10, event kernel,
+#                                # cluster scaling, overload resilience,
+#                                # fleet scaling, memory hierarchy,
+#                                # fault tolerance) against BASE_REV
 #                                # (default HEAD) with scripts/ab.py:
 #                                # 10 alternating same-host pairs of
 #                                # --jobs=1 wall time each; fails on a
 #                                # >10% median slowdown in >= 8 of 10
 #                                # pairs, a bench that exits nonzero, or
-#                                # a missing or wrong BENCH record
+#                                # a missing or wrong BENCH record; it
+#                                # also prints each side's
+#                                # events_dispatched
 #   scripts/check.sh --perfbench # build perfbench from source and run
 #                                # its selftest (python3 perfbench/run.py
 #                                # --selftest): the traced cluster
@@ -92,11 +94,12 @@ run_bench_smoke() {
     # Perf-regression gate: same-host alternating pairs of the working
     # tree against a base revision (scripts/ab.py builds both sides).
     # fig9 and fault_tolerance run co-located training (fault_tolerance
-    # on the eager path a fault plan selects); fig2 dispatches no events.
+    # on the eager path a fault plan selects), and fig10 runs it under
+    # all four scheduling policies; fig2 dispatches no events.
     python3 scripts/ab.py "${1:-HEAD}" fig7_inference_latency \
         event_kernel cluster_scaling overload_resilience fleet_scaling \
         memory_hierarchy fig9_training_throughput fault_tolerance \
-        fig2_convergence
+        fig2_convergence fig10_scheduling
 }
 
 run_perfbench() {

@@ -310,6 +310,7 @@ Accelerator::run(const RunSpec &run_spec)
     Tick max_ticks = units::secondsToCycles(ctx.spec.max_sim_s,
                                             cfg.frequency_hz);
     prefetcher->beginRun(max_ticks);
+    dispatcher->beginRun();
     ctx.stopping = false;
     ctx.measuring = false;
     ctx.measure_start = 0;
@@ -455,6 +456,7 @@ Accelerator::run(const RunSpec &run_spec)
     res.events_dispatched = ctx.events.dispatched();
     res.events_inlined = ctx.events.inlined();
     res.fills_deferred = prefetcher->fillsDeferred();
+    res.chunks_coalesced = dispatcher->chunksCoalesced();
     res.mem = ctx.mem->stats();
     return res;
 }

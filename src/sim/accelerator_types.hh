@@ -224,20 +224,26 @@ struct SimResult
 
     // -- simulator execution diagnostics (NOT part of the result
     // -- digest: they describe how the simulator ran, not what the
-    // -- simulated machine did; events_inlined, fills_deferred and so
-    // -- events_dispatched legitimately differ between fast-forwarded
-    // -- and cycle-accurate runs) --------------------------------------
+    // -- simulated machine did; events_inlined, fills_deferred,
+    // -- chunks_coalesced and so events_dispatched legitimately differ
+    // -- between fast-forwarded and cycle-accurate runs) ---------------
     /** Events this run dispatched (incl. inlined fast-forward ones). */
     std::uint64_t events_dispatched = 0;
     /** Dispatches the fast-forward engine inlined (0 when disabled). */
     std::uint64_t events_inlined = 0;
     /**
      * Staging fills the training prefetcher landed without an event (0
-     * on the reference path): each stands for one event the reference
-     * path dispatches, so events_dispatched + fills_deferred equals the
-     * reference path's events_dispatched.
+     * on the reference path): each stands for one fill-landing event
+     * the reference path dispatches.
      */
     std::uint64_t fills_deferred = 0;
+    /**
+     * Scheduling rounds folded into inference spans (0 on the reference
+     * path): each stands for one chunk-completion event the reference
+     * path dispatches, so events_dispatched + fills_deferred +
+     * chunks_coalesced equals the reference path's events_dispatched.
+     */
+    std::uint64_t chunks_coalesced = 0;
     /**
      * Memory-hierarchy counters (all-zero, active=false with the
      * default passthrough hierarchy). Diagnostics like the fields

@@ -134,7 +134,7 @@ Datapath::interleaveGranule(const isa::TileWork &tw)
 }
 
 void
-Datapath::issueInferenceChunk(InfBatch *batch)
+Datapath::issueInferenceChunk(InfBatch *batch, Tick until)
 {
     Tick now = ctx.events.now();
     accountGap(now);
@@ -149,24 +149,38 @@ Datapath::issueInferenceChunk(InfBatch *batch)
                    "unstarted-batch counter underflow");
         --ctx.unstarted_batches;
     }
-    dispatcher->noteInferenceServed(batch->svc->id);
 
     // With a training context installed, the instruction controller
     // interleaves the two services at instruction granularity
     // (section 3.2); issue one instruction's worth of cycles at a time
     // so training can slot in between. Without training, the whole step
     // issues at once (no interleaving opportunity exists).
+    //
+    // A granule whose end lies before @p until ends in a scheduling
+    // round that would issue this batch's next granule: issue that one
+    // too, with the same charges in the same order, and complete the
+    // whole span with one event. Each granule after the first is one
+    // folded round.
     Tick remaining = sb.mmu.occupancy - batch->issued_in_step;
-    Tick chunk = remaining;
+    Tick granule = remaining;
     if (ctx.train)
-        chunk = std::min(remaining, batch->svc->chunk_granules[batch->step]);
-
-    chargeMmu(sb.mmu, chunk, real_frac);
-    if (ctx.measuring) {
-        inf_useful_ops += static_cast<double>(sb.mmu.real_ops) *
-                          real_frac * static_cast<double>(chunk) /
-                          static_cast<double>(sb.mmu.occupancy);
+        granule = batch->svc->chunk_granules[batch->step];
+    Tick chunk = 0;
+    std::uint64_t folded = 0;
+    while (true) {
+        Tick g = std::min(remaining - chunk, granule);
+        chargeMmu(sb.mmu, g, real_frac);
+        if (ctx.measuring) {
+            inf_useful_ops += static_cast<double>(sb.mmu.real_ops) *
+                              real_frac * static_cast<double>(g) /
+                              static_cast<double>(sb.mmu.occupancy);
+        }
+        chunk += g;
+        if (chunk == remaining || now + chunk >= until)
+            break;
+        ++folded;
     }
+    dispatcher->noteInferenceServed(batch->svc->id, folded);
     emit(TraceEventType::InferenceChunkIssue, batch->svc->id, chunk,
          batch->step);
 

@@ -9,6 +9,11 @@
  * accumulator: the Figure 8 cycle breakdown, the service-time tracker,
  * useful-op counts, and MMU/SIMD busy cycles. Request latencies are
  * recorded once, into the retiring service's own tracker.
+ *
+ * Inference granules the InstructionDispatcher knows no round could
+ * interrupt issue as one span: each granule is charged as it would be
+ * on its own, in order, and one completion event ends the span
+ * (DESIGN.md section 2.7, "Coalesced inference granules").
  */
 
 #ifndef EQUINOX_SIM_BLOCKS_DATAPATH_HH
@@ -45,8 +50,14 @@ class Datapath final : public SimBlock
     void beginMeasurement() override;
     void registerStats(stats::StatRegistry &reg) override;
 
-    /** Occupy the array with one inference chunk of @p batch. */
-    void issueInferenceChunk(InfBatch *batch);
+    /**
+     * Occupy the array with inference chunks of @p batch: one granule,
+     * then more back to back while the next granule boundary lies
+     * before @p until and the step has cycles left (the span the
+     * InstructionDispatcher folds; @p until <= now issues one granule).
+     * One completion event ends the span.
+     */
+    void issueInferenceChunk(InfBatch *batch, Tick until);
 
     /** Occupy the array with the next training chunk. */
     void issueTrainingChunk();

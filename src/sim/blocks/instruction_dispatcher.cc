@@ -49,7 +49,19 @@ InstructionDispatcher::resetRun()
     rounds = 0;
     inf_issues = 0;
     train_issues = 0;
+    chunks_coalesced = 0;
     // last_served_ctx intentionally persists (see header).
+}
+
+void
+InstructionDispatcher::beginRun()
+{
+    // Granules interleave only with training installed, and fold only
+    // where no fault plan acts between them and no trace sink records
+    // each issue. The reference path (RunSpec::fast_forward = false)
+    // folds nothing.
+    coalesce = ctx.spec.fast_forward && ctx.train && !ctx.trace &&
+               !faults->active();
 }
 
 void
@@ -180,14 +192,19 @@ InstructionDispatcher::tryDispatch()
         } else {
             prefer_training = true;
             ++inf_issues;
-            datapath->issueInferenceChunk(inf);
+            datapath->issueInferenceChunk(inf, now);
         }
         return;
     }
     if (inf) {
         prefer_training = true;
         ++inf_issues;
-        datapath->issueInferenceChunk(inf);
+        // The rounds at this batch's next granule boundaries take this
+        // branch again while nothing they read changes: fold them.
+        Tick until = now;
+        if (coalesce && d.revisit_at == kTickMax)
+            until = spanLimit(inf);
+        datapath->issueInferenceChunk(inf, until);
         return;
     }
     if (train_ok) {
@@ -214,6 +231,43 @@ InstructionDispatcher::tryDispatch()
         prefetcher->materialize();
     if (wake != kTickMax && wake > now)
         scheduleWake(wake, /*tail=*/true);
+}
+
+Tick
+InstructionDispatcher::spanLimit(const InfBatch *inf) const
+{
+    // The first tick at which a round after issuing @p inf could
+    // decide differently from this one (DESIGN.md section 2.7). Until
+    // then the policy sees the same view but for now, so it vetoes
+    // what it vetoed here and training stays unready or vetoed.
+    const Tick now = ctx.events.now();
+    // The first issue lowers the unstarted-batch count, which can flip
+    // the spike signal the next round's policy reads.
+    if (inf->first_issue == kTickMax)
+        return now;
+    // Another event, or the run's horizon.
+    Tick until = ctx.events.inlineHorizon();
+    // A deferred staging fill landing can make training ready; they
+    // land in issue order.
+    const auto &train = *ctx.train;
+    if (!train.deferred_fills.empty())
+        until = std::min(until, train.deferred_fills.front().done);
+    // Training's dependence gap closing.
+    if (train.ready_at > now)
+        until = std::min(until, train.ready_at);
+    // Another batch becoming ready: one ahead of @p inf in the queue
+    // would be picked first, and across contexts the round-robin
+    // prefers one of another context.
+    const bool single_ctx = ctx.services.size() <= 1;
+    for (const InfBatch *b : ctx.batch_queue) {
+        if (b == inf || b->done || b->in_flight)
+            continue;
+        if (b->ready_at > now)
+            until = std::min(until, b->ready_at);
+        else if (!single_ctx)
+            return now;
+    }
+    return until;
 }
 
 void

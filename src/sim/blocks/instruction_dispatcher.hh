@@ -9,6 +9,13 @@
  * (staged operands, dependence, storm shedding), consults the pluggable
  * SchedulingPolicy for vetoes, and round-robins between the survivors.
  * The actual cycle charging happens in the Datapath block it issues to.
+ *
+ * A round that issues inference alone also bounds how long the rounds
+ * after it would keep doing the same: until the first event, deferred
+ * fill landing or dependence-ready tick that could change their
+ * decision. The datapath folds the granule boundaries before that
+ * bound into one span, and those rounds count here as if they ran
+ * (DESIGN.md section 2.7, "Coalesced inference granules").
  */
 
 #ifndef EQUINOX_SIM_BLOCKS_INSTRUCTION_DISPATCHER_HH
@@ -56,8 +63,27 @@ class InstructionDispatcher final : public SimBlock
      */
     void tryDispatch();
 
-    /** The datapath started serving @p id (cross-context round-robin). */
-    void noteInferenceServed(ContextId id) { last_served_ctx = id; }
+    /**
+     * Decide, once the run's fault plan and trace sink are known,
+     * whether this run folds inference granules into spans.
+     */
+    void beginRun();
+
+    /**
+     * The datapath started serving @p id (cross-context round-robin)
+     * and folded @p folded more scheduling rounds into the span.
+     */
+    void
+    noteInferenceServed(ContextId id, std::uint64_t folded)
+    {
+        last_served_ctx = id;
+        rounds += folded;
+        inf_issues += folded;
+        chunks_coalesced += folded;
+    }
+
+    /** Rounds folded into inference spans (run total). */
+    std::uint64_t chunksCoalesced() const { return chunks_coalesced; }
 
     /** A dependence-ready batch exists right now (pure query). */
     bool firstReadyBatchWaiting() { return firstReadyBatch() != nullptr; }
@@ -70,6 +96,7 @@ class InstructionDispatcher final : public SimBlock
     bool inferenceQueueLow() const;
     bool spikeDetected() const;
     bool trainingReady() const;
+    Tick spanLimit(const InfBatch *inf) const;
     void scheduleWake(Tick at, bool tail = false);
 
     Datapath *datapath = nullptr;
@@ -94,6 +121,8 @@ class InstructionDispatcher final : public SimBlock
      */
     std::vector<Tick> armed_wakes_;
     bool prefer_training = false;  //!< round-robin alternation latch
+    /** This run folds inference granules into spans (beginRun()). */
+    bool coalesce = false;
     /**
      * Cross-context round-robin cursor. Deliberately NOT cleared by
      * resetRun(): the monolithic simulator carried it across run()
@@ -105,6 +134,7 @@ class InstructionDispatcher final : public SimBlock
     std::uint64_t rounds = 0;          //!< dispatch rounds entered
     std::uint64_t inf_issues = 0;      //!< inference chunks issued
     std::uint64_t train_issues = 0;    //!< training chunks issued
+    std::uint64_t chunks_coalesced = 0; //!< rounds folded into spans
 };
 
 } // namespace sim

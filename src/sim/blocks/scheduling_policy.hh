@@ -71,7 +71,12 @@ class SchedulingPolicy
     /** Clear per-run state (start of Accelerator::run). */
     virtual void reset() {}
 
-    /** Veto service classes for this round. Must not schedule events. */
+    /**
+     * Veto service classes for this round. Must not schedule events,
+     * and must not read view.now while inference is ready unless it
+     * sets revisit_at: the dispatcher folds rounds whose views differ
+     * only in now into one inference span (DESIGN.md section 2.7).
+     */
     virtual SchedDecision decide(const SchedulerView &view) = 0;
 
     /** Training issued as the sole winner of the round at @p now. */

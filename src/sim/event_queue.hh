@@ -59,7 +59,10 @@
  *    the Callback construction, and the runOne() iteration are
  *    skipped. Inlined dispatches count toward dispatched() (they are
  *    real simulation events), and are additionally reported by
- *    inlined(). See DESIGN.md section 2.7 for the invariants.
+ *    inlined(). inlineHorizon() is the first tick at which anything
+ *    but such an inline chain can run; the datapath issues the
+ *    inference granules that end before it as one span. See DESIGN.md
+ *    section 2.7 for the invariants.
  *  - Reserved sequence numbers: reserveSeq() hands out the seq a
  *    schedule() would take without scheduling, and scheduleReserved()
  *    later pushes an event under it, so work that is usually settled
@@ -275,10 +278,29 @@ class EventQueue
     bool
     canInline(Tick when) const
     {
-        return ff_on_ && ff_depth_ < kMaxInlineDepth &&
-               fifo_head_ >= fifo_.size() && when >= now_ &&
-               when <= ff_limit_ &&
-               (heap_.empty() || heap_.top().when > when);
+        return ff_depth_ < kMaxInlineDepth && when >= now_ &&
+               when < inlineHorizon();
+    }
+
+    /**
+     * The first tick at which anything but the running callback's own
+     * inline chain can happen: now() while fast-forward is off or the
+     * open tick's FIFO still holds events, else the heap head's tick
+     * or ff_limit + 1, whichever is sooner. An event strictly before
+     * it is the queue's next dispatch (canInline()), and so is every
+     * event of a chain that a tail-position caller runs there without
+     * scheduling: the datapath folds the inference granules nothing
+     * can interrupt into one span this way (DESIGN.md section 2.7).
+     */
+    Tick
+    inlineHorizon() const
+    {
+        if (!ff_on_ || fifo_head_ < fifo_.size())
+            return now_;
+        Tick h = ff_limit_ == kTickMax ? kTickMax : ff_limit_ + 1;
+        if (!heap_.empty() && heap_.top().when < h)
+            h = heap_.top().when;
+        return h;
     }
 
     /**

@@ -14,12 +14,12 @@
  * simulated behaviour deliberately changes.
  *
  * Deliberately NOT folded: SimResult::events_dispatched,
- * events_inlined and fills_deferred. They describe the simulator's
- * execution strategy, not the simulated machine -- events_inlined and
- * fills_deferred (and with the latter events_dispatched) differ
- * between a fast-forwarded and a cycle-accurate run of the same
- * scenario by design, and the whole point of the digest is that
- * nothing else does.
+ * events_inlined, fills_deferred and chunks_coalesced. They describe
+ * the simulator's execution strategy, not the simulated machine --
+ * events_inlined, fills_deferred and chunks_coalesced (and with the
+ * last two events_dispatched) differ between a fast-forwarded and a
+ * cycle-accurate run of the same scenario by design, and the whole
+ * point of the digest is that nothing else does.
  */
 
 #ifndef EQUINOX_SIM_RESULT_DIGEST_HH

@@ -19,17 +19,21 @@
  *    digest (every SimResult field incl. percentiles and the fault
  *    trace), every registered statistic (the MetricsSnapshot
  *    surface), and the dispatch count once the staging fills the
- *    fast-forwarded run landed without an event are added back. The
- *    same comparison runs full size on the Equinox_500us preset with
- *    LSTM-2048.
+ *    fast-forwarded run landed without an event and the scheduling
+ *    rounds it folded into inference spans are added back. A sweep
+ *    puts each bound of a coalesced span on or inside one, and a
+ *    traced run, which folds nothing, must issue every granule where
+ *    the reference path does. The same comparison runs full size on
+ *    the Equinox_500us preset with LSTM-2048.
  *
  *  - A cluster differential: a multi-replica run under an active
  *    ChaosPlan with the control plane engaged, fast-forwarded vs
  *    cycle-accurate, bit-identical cluster digests.
  *
  * A divergence here means an inline site is not actually in tail
- * position, or the canInline() predicate admitted an event that was
- * not unambiguously next. Fix the engine; never weaken the digests.
+ * position, the canInline() predicate admitted an event that was not
+ * unambiguously next, or a span folded a round that could have decided
+ * differently. Fix the engine; never weaken the digests.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +48,7 @@
 #include "cluster/cluster.hh"
 #include "cluster_digest.hh"
 #include "common/random.hh"
+#include "common/units.hh"
 #include "core/experiment.hh"
 #include "core/presets.hh"
 #include "fault/chaos_plan.hh"
@@ -184,6 +189,22 @@ struct FuzzCase
     std::uint64_t seed;
     /** RunSpec::max_sim_s; 0 keeps the default, which never binds. */
     double horizon_s = 0.0;
+
+    // Shapes that put coalesced-span bounds on or inside a span
+    // (CoalescedSpanBoundsAreBitIdentical); the defaults leave them out.
+    /** DRAM slow enough that staging fills land after the array idles. */
+    bool slow_dram = false;
+    /** Training steps with long SIMD epilogues: ready_at lands mid-step. */
+    bool long_gaps = false;
+    /** A second inference service, in a second context. */
+    bool two_services = false;
+    /**
+     * AcceleratorConfig::spike_threshold_batches when nonzero. At 1 a
+     * batch's first issue can end a spike.
+     */
+    std::uint32_t spike_threshold = 0;
+    /** Service 0's arrival ticks; empty draws them from the rate. */
+    std::vector<Tick> trace;
 };
 
 FuzzCase
@@ -212,6 +233,7 @@ struct CaseOutcome
     std::uint64_t events;
     std::uint64_t inlined;
     std::uint64_t fills_deferred;
+    std::uint64_t chunks_coalesced;
     std::uint64_t completed;
     std::map<std::string, double> stats;
 };
@@ -224,6 +246,7 @@ outcomeOf(sim::Accelerator &accel, const sim::SimResult &res)
     out.events = res.events_dispatched;
     out.inlined = res.events_inlined;
     out.fills_deferred = res.fills_deferred;
+    out.chunks_coalesced = res.chunks_coalesced;
     out.completed = res.completed_requests;
     stats::StatRegistry reg;
     accel.registerStats(reg);
@@ -233,33 +256,64 @@ outcomeOf(sim::Accelerator &accel, const sim::SimResult &res)
 }
 
 /**
- * Both engines agree on everything but the inlined tally and the
- * staging fills the fast-forwarded run landed without an event: the
- * reference path dispatches every fill, and each deferred fill stands
- * for exactly one of its events.
+ * Both engines agree on everything but the inlined tally, the staging
+ * fills the fast-forwarded run landed without an event and the
+ * scheduling rounds it folded into inference spans: the reference path
+ * dispatches every fill and every granule's completion, and each
+ * deferred fill or folded round stands for exactly one of its events.
  */
 void
 expectSameRun(const CaseOutcome &ff, const CaseOutcome &ref)
 {
     EXPECT_EQ(ref.inlined, 0u);
     EXPECT_EQ(ref.fills_deferred, 0u);
+    EXPECT_EQ(ref.chunks_coalesced, 0u);
     EXPECT_EQ(ff.digest, ref.digest);
-    EXPECT_EQ(ff.events + ff.fills_deferred, ref.events);
+    EXPECT_EQ(ff.events + ff.fills_deferred + ff.chunks_coalesced,
+              ref.events);
     EXPECT_EQ(ff.stats, ref.stats);
 }
 
+/** A second service for a second hardware context: shorter steps. */
+workload::DnnModel
+shortRnn()
+{
+    workload::DnnModel model = testutil::tinyRnn();
+    model.name = "short";
+    model.rnn.hidden = 48;
+    model.rnn.steps = 3;
+    return model;
+}
+
+/**
+ * Run @p c; with @p issues set, attach a trace sink and record every
+ * inference chunk issue.
+ */
 CaseOutcome
-runCase(const FuzzCase &c, bool fast_forward)
+runCase(const FuzzCase &c, bool fast_forward,
+        std::vector<sim::TraceEvent> *issues = nullptr)
 {
     auto cfg = testutil::smallConfig("fastpath-fuzz");
     cfg.sched_policy = c.sched;
     cfg.batch_policy = c.batch;
+    if (c.slow_dram)
+        cfg.dram.bandwidth_bytes_per_s = 3e9;
+    if (c.spike_threshold)
+        cfg.spike_threshold_batches = c.spike_threshold;
     workload::Compiler compiler(cfg);
     sim::Accelerator accel(cfg);
     accel.installInference(compiler.compileInference(testutil::tinyRnn()));
-    if (c.training)
-        accel.installTraining(
-            compiler.compileTraining(testutil::tinyRnn(), 16));
+    if (c.two_services)
+        accel.installInference(compiler.compileInference(shortRnn()));
+    if (c.training) {
+        workload::DnnModel train = testutil::tinyRnn();
+        if (c.long_gaps)
+            train.rnn.simd_passes = 24.0;
+        accel.installTraining(compiler.compileTraining(train, 16));
+    }
+    sim::VectorTraceSink sink;
+    if (issues)
+        accel.setTraceSink(&sink);
 
     sim::RunSpec spec;
     spec.warmup_requests = 25;
@@ -267,6 +321,11 @@ runCase(const FuzzCase &c, bool fast_forward)
     spec.seed = c.seed;
     spec.arrival_process = c.arrivals;
     spec.arrival_rate_per_s = c.load_frac * accel.maxRequestRate();
+    if (c.two_services) {
+        spec.arrival_rates = {c.load_frac / 2 * accel.maxRequestRate(0),
+                              c.load_frac / 2 * accel.maxRequestRate(1)};
+    }
+    spec.arrival_trace_ticks = c.trace;
     spec.fast_forward = fast_forward;
     if (c.horizon_s > 0.0)
         spec.max_sim_s = c.horizon_s;
@@ -274,7 +333,14 @@ runCase(const FuzzCase &c, bool fast_forward)
         spec.faults = testutil::densePlan();
         spec.faults.seed = c.seed * 13 + 7;
     }
-    return outcomeOf(accel, accel.run(spec));
+    CaseOutcome out = outcomeOf(accel, accel.run(spec));
+    if (issues) {
+        for (const auto &ev : sink.events()) {
+            if (ev.type == sim::TraceEventType::InferenceChunkIssue)
+                issues->push_back(ev);
+        }
+    }
+    return out;
 }
 
 /**
@@ -308,6 +374,18 @@ TEST(FastForwardDifferential, RandomizedConfigsAreBitIdentical)
             ++cases_with_inlining;
         if (defersFills(c)) {
             EXPECT_GT(ff.fills_deferred, 0u);
+        }
+        // Inference granules interleave with a resident training
+        // context, and without a fault plan the run folds the ones
+        // issued back to back. Fair share is the exception on this
+        // model: it hands training every boundary at which training is
+        // ready, and training's dependence gap (40 cycles) is shorter
+        // than an inference granule (64), so no two inference granules
+        // run back to back (CoalescedSpanBoundsAreBitIdentical folds
+        // fair-share spans on slow DRAM).
+        if (c.training && !c.faults &&
+            c.sched != sim::SchedPolicy::FairShare) {
+            EXPECT_GT(ff.chunks_coalesced, 0u);
         }
     }
     // The differential is vacuous if fast-forward never engages.
@@ -494,6 +572,205 @@ TEST(FastForwardDifferential, ArrivalsOnStagingFillLandingsAreBitIdentical)
 }
 
 // ---------------------------------------------------------------------
+// Coalesced inference spans: the bounds that end a span
+// ---------------------------------------------------------------------
+
+/**
+ * A co-located training run on adaptive batching, the shape every
+ * span-bound case starts from.
+ */
+FuzzCase
+spanCase(sim::SchedPolicy sched)
+{
+    FuzzCase c;
+    c.sched = sched;
+    c.batch = sim::BatchPolicy::Adaptive;
+    c.arrivals = sim::ArrivalProcess::Poisson;
+    c.load_frac = 0.6;
+    c.training = true;
+    c.faults = false;
+    c.seed = 1;
+    return c;
+}
+
+std::string
+describe(const FuzzCase &c)
+{
+    return std::string("sched=") + sim::schedPolicyName(c.sched) +
+           (c.slow_dram ? " +slow-dram" : "") +
+           (c.long_gaps ? " +long-gaps" : "") +
+           (c.two_services ? " +two-services" : "") +
+           (c.spike_threshold ? " spike-threshold=" +
+                                    std::to_string(c.spike_threshold)
+                              : "") +
+           " load=" + std::to_string(c.load_frac) + " seed=" +
+           std::to_string(c.seed) + " horizon=" +
+           std::to_string(c.horizon_s) +
+           (c.trace.empty() ? "" : " +trace");
+}
+
+/**
+ * Granule boundaries inside a step: the end ticks of traced inference
+ * issues that the same context's next granule issues at.
+ */
+std::vector<Tick>
+innerBoundaries(const std::vector<sim::TraceEvent> &issues)
+{
+    std::vector<Tick> out;
+    for (std::size_t i = 0; i + 1 < issues.size(); ++i) {
+        const Tick end = issues[i].tick + issues[i].a;
+        if (issues[i + 1].tick == end && issues[i + 1].ctx == issues[i].ctx &&
+            issues[i + 1].b == issues[i].b)
+            out.push_back(end);
+    }
+    return out;
+}
+
+TEST(FastForwardDifferential, CoalescedSpanBoundsAreBitIdentical)
+{
+    // A span folds the rounds at a batch's granule boundaries up to the
+    // first tick at which a round could decide differently. Each part
+    // below puts one of the bounds on, or inside, a span, under every
+    // scheduling policy: a wrong bound shows as a digest or stat-map
+    // difference against the reference path, which issues every
+    // granule from its own round.
+    static const sim::SchedPolicy scheds[] = {
+        sim::SchedPolicy::InferenceOnly, sim::SchedPolicy::Priority,
+        sim::SchedPolicy::FairShare, sim::SchedPolicy::SoftwareBatch};
+    std::map<sim::SchedPolicy, std::uint64_t> coalesced;
+
+    // 1. Free-running arrivals: staging fills landing mid-span (slow
+    //    DRAM), training's ready_at inside a step (long epilogues) and
+    //    the other context's batches becoming ready mid-step.
+    for (sim::SchedPolicy sched : scheds) {
+        for (unsigned variant = 0; variant < 8; ++variant) {
+            FuzzCase c = spanCase(sched);
+            c.slow_dram = variant & 1;
+            c.long_gaps = variant & 2;
+            c.two_services = variant & 4;
+            c.load_frac = 0.45 + 0.1 * static_cast<double>(variant % 3);
+            c.seed = 11 + variant;
+            SCOPED_TRACE(describe(c));
+            CaseOutcome ff = runCase(c, true);
+            expectSameRun(ff, runCase(c, false));
+            coalesced[sched] += ff.chunks_coalesced;
+        }
+    }
+    for (sim::SchedPolicy sched : scheds) {
+        SCOPED_TRACE(sim::schedPolicyName(sched));
+        EXPECT_GT(coalesced[sched], 0u);
+    }
+
+    // 2. A batch's first issue ends the span it starts: it lowers the
+    //    unstarted-batch count, so with a spike threshold of one batch
+    //    the next round's priority policy may stop vetoing training.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        FuzzCase c = spanCase(sim::SchedPolicy::Priority);
+        c.spike_threshold = 1;
+        c.load_frac = 0.05 * static_cast<double>(seed);
+        c.seed = seed;
+        SCOPED_TRACE(describe(c));
+        expectSameRun(runCase(c, true), runCase(c, false));
+    }
+
+    // 3. max_sim_s cutting a span: the horizon one tick before, on and
+    //    one tick after a granule boundary inside a step. The run ends
+    //    on the first event past the horizon, so the round there must
+    //    not be folded.
+    for (sim::SchedPolicy sched : scheds) {
+        FuzzCase c = spanCase(sched);
+        c.slow_dram = true;
+        c.seed = 5;
+        std::vector<sim::TraceEvent> issues;
+        runCase(c, false, &issues);
+        const std::vector<Tick> bounds = innerBoundaries(issues);
+        ASSERT_GT(bounds.size(), 200u);
+        for (std::size_t i = bounds.size() / 2; i < bounds.size();
+             i += bounds.size() / 12) {
+            for (Tick max_ticks : {bounds[i] - 1, bounds[i], bounds[i] + 1}) {
+                // secondsToCycles rounds up: half a cycle below lands
+                // exactly on max_ticks.
+                c.horizon_s = (static_cast<double>(max_ticks) - 0.5) /
+                              testutil::smallConfig().frequency_hz;
+                SCOPED_TRACE(describe(c));
+                expectSameRun(runCase(c, true), runCase(c, false));
+            }
+        }
+    }
+
+    // 4. Arrivals and batch timeouts on a boundary tick: an arrival at
+    //    the boundary, and one a batch timeout earlier, whose timeout
+    //    fires on the boundary when it is the oldest pending request.
+    //    The run up to the boundary is the base run's, so the boundary
+    //    stays one.
+    const auto cfg = testutil::smallConfig();
+    sim::Accelerator probe(cfg);
+    const auto service =
+        workload::Compiler(cfg).compileInference(testutil::tinyRnn());
+    const Tick timeout = units::secondsToCycles(
+        service.service_time_s * cfg.batch_timeout_mult, cfg.frequency_hz);
+    probe.installInference(service);
+    for (sim::SchedPolicy sched : scheds) {
+        FuzzCase c = spanCase(sched);
+        c.slow_dram = sched == sim::SchedPolicy::FairShare;
+        c.load_frac = 0.5;
+        ArrivalStream stream(c.load_frac * probe.maxRequestRate(0) /
+                                 cfg.frequency_hz,
+                             7, 0, 300000);
+        for (Tick t = 0; stream.next(t);)
+            c.trace.push_back(t);
+        std::vector<sim::TraceEvent> issues;
+        runCase(c, false, &issues);
+        const std::vector<Tick> bounds = innerBoundaries(issues);
+        ASSERT_GT(bounds.size(), 100u);
+        const std::vector<Tick> base = c.trace;
+        for (std::size_t i = 40; i < 100; i += 4) {
+            const Tick at = bounds[i];
+            c.trace = base;
+            for (Tick t : {at - timeout, at})
+                c.trace.insert(
+                    std::upper_bound(c.trace.begin(), c.trace.end(), t), t);
+            SCOPED_TRACE(describe(c) + " boundary " + std::to_string(at));
+            expectSameRun(runCase(c, true), runCase(c, false));
+        }
+    }
+}
+
+TEST(FastForwardDifferential, TraceSinkSeesEveryInferenceGranule)
+{
+    // A trace sink records one InferenceChunkIssue per granule, so a
+    // traced run folds nothing: its issues (tick, granule, step) and
+    // digest are the reference path's, and the untraced run that does
+    // fold lands on the same digest.
+    for (unsigned variant = 0; variant < 3; ++variant) {
+        FuzzCase c = spanCase(variant == 0   ? sim::SchedPolicy::Priority
+                              : variant == 1 ? sim::SchedPolicy::FairShare
+                                             : sim::SchedPolicy::SoftwareBatch);
+        c.slow_dram = variant == 1;
+        c.long_gaps = variant == 1;
+        c.two_services = variant == 2;
+        SCOPED_TRACE(describe(c));
+        std::vector<sim::TraceEvent> ff_issues;
+        std::vector<sim::TraceEvent> ref_issues;
+        CaseOutcome ff = runCase(c, true, &ff_issues);
+        CaseOutcome ref = runCase(c, false, &ref_issues);
+        EXPECT_EQ(ff.chunks_coalesced, 0u);
+        expectSameRun(ff, ref);
+        ASSERT_EQ(ff_issues.size(), ref_issues.size());
+        for (std::size_t i = 0; i < ff_issues.size(); ++i) {
+            SCOPED_TRACE("issue " + std::to_string(i));
+            EXPECT_EQ(ff_issues[i].tick, ref_issues[i].tick);
+            EXPECT_EQ(ff_issues[i].ctx, ref_issues[i].ctx);
+            EXPECT_EQ(ff_issues[i].a, ref_issues[i].a);
+            EXPECT_EQ(ff_issues[i].b, ref_issues[i].b);
+        }
+        CaseOutcome untraced = runCase(c, true);
+        EXPECT_GT(untraced.chunks_coalesced, 0u);
+        EXPECT_EQ(untraced.digest, ref.digest);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Full-size differential: the Equinox_500us preset serving LSTM-2048
 // ---------------------------------------------------------------------
 
@@ -536,6 +813,7 @@ TEST(FastForwardDifferential, PresetLstm2048IsBitIdentical)
         EXPECT_GT(ff.inlined, 0u);
         if (p.training) {
             EXPECT_GT(ff.fills_deferred, 0u);
+            EXPECT_GT(ff.chunks_coalesced, 0u);
         }
     }
 }
