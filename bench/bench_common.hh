@@ -21,6 +21,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "core/experiment.hh"
+#include "core/presets.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/latency_probe.hh"
 #include "obs/metrics_snapshot.hh"
@@ -373,6 +374,24 @@ traceRepresentativeRun(Harness &harness,
                     harness.tracePath().c_str());
     if (want_metrics)
         probe.addTo(harness.metrics(), "trace_run", cfg.frequency_hz);
+}
+
+/**
+ * The design-space sweep of @p enc from the process cache, noting the
+ * host milliseconds of the call under `sweep_ms.<encoding>`. Call it
+ * once per encoding, before anything else reads the cache, so the note
+ * times the cache-filling sweep.
+ */
+inline const model::DseResult &
+timedSweep(Harness &harness, arith::Encoding enc)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    const auto &sweep = core::cachedSweep(enc, harness.jobs());
+    harness.note(std::string("sweep_ms.") + arith::encodingName(enc),
+                 std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+    return sweep;
 }
 
 } // namespace bench

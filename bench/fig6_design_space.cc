@@ -21,11 +21,12 @@ namespace
 using namespace equinox;
 
 void
-printEncoding(arith::Encoding enc, const char *title, std::size_t jobs)
+printEncoding(bench::Harness &harness, arith::Encoding enc,
+              const char *title)
 {
     bench::section(title);
     // Copy so the frontier marking does not disturb the shared cache.
-    model::DseResult sweep = core::cachedSweep(enc, jobs);
+    model::DseResult sweep = bench::timedSweep(harness, enc);
     auto frontier = model::paretoFrontier(sweep);
 
     stats::Table table({"n", "m", "w", "Freq (MHz)", "T (TOp/s)",
@@ -76,9 +77,8 @@ main(int argc, char **argv)
     bench::Harness harness(argc, argv, "fig6_design_space", "Figure 6",
                            "Latency vs throughput for the modeled "
                            "design space");
-    printEncoding(arith::Encoding::Hbfp8, "(a) hbfp8", harness.jobs());
-    printEncoding(arith::Encoding::Bfloat16, "(b) bfloat16",
-                  harness.jobs());
+    printEncoding(harness, arith::Encoding::Hbfp8, "(a) hbfp8");
+    printEncoding(harness, arith::Encoding::Bfloat16, "(b) bfloat16");
     std::printf("\nShape check: hbfp8 shows a sub-linear frontier with a "
                 "knee near 350+ TOp/s;\nbfloat16 reaches its knee almost "
                 "immediately (little batching headroom).\n");

@@ -37,9 +37,11 @@ const PaperRow kRows[] = {
 };
 
 void
-printSide(arith::Encoding enc, const char *title, int paper_idx,
-          std::size_t jobs)
+printSide(bench::Harness &harness, arith::Encoding enc, const char *title,
+          int paper_idx)
 {
+    const std::size_t jobs = harness.jobs();
+    bench::timedSweep(harness, enc);
     bench::section(title);
     stats::Table table({"Latency constraint", "n", "m", "w",
                         "Freq (MHz)", "Service (us)", "T (TOp/s)",
@@ -68,8 +70,8 @@ main(int argc, char **argv)
     bench::Harness harness(argc, argv, "table1_pareto", "Table 1",
                            "Pareto-optimal designs under latency "
                            "constraints");
-    printSide(arith::Encoding::Hbfp8, "hbfp8", 0, harness.jobs());
-    printSide(arith::Encoding::Bfloat16, "bfloat16", 1, harness.jobs());
+    printSide(harness, arith::Encoding::Hbfp8, "hbfp8", 0);
+    printSide(harness, arith::Encoding::Bfloat16, "bfloat16", 1);
 
     auto mn = core::presetDesign(core::Preset::Min,
                                  arith::Encoding::Hbfp8);

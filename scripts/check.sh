@@ -25,10 +25,11 @@
 #                                # passthrough/differential tier)
 #   scripts/check.sh --bench-smoke [BASE_REV]
 #                                # A/B the perf-tracking benches (fig2,
-#                                # fig7, fig9, fig10, event kernel,
-#                                # cluster scaling, overload resilience,
-#                                # fleet scaling, memory hierarchy,
-#                                # fault tolerance) against BASE_REV
+#                                # fig6, fig7, fig9, fig10, table1,
+#                                # event kernel, cluster scaling,
+#                                # overload resilience, fleet scaling,
+#                                # memory hierarchy, fault tolerance)
+#                                # against BASE_REV
 #                                # (default HEAD) with scripts/ab.py:
 #                                # 10 alternating same-host pairs of
 #                                # --jobs=1 wall time each; fails on a
@@ -95,11 +96,12 @@ run_bench_smoke() {
     # tree against a base revision (scripts/ab.py builds both sides).
     # fig9 and fault_tolerance run co-located training (fault_tolerance
     # on the eager path a fault plan selects), and fig10 runs it under
-    # all four scheduling policies; fig2 dispatches no events.
+    # all four scheduling policies; fig2 dispatches no events; fig6
+    # and table1 are almost all design-space sweep.
     python3 scripts/ab.py "${1:-HEAD}" fig7_inference_latency \
         event_kernel cluster_scaling overload_resilience fleet_scaling \
         memory_hierarchy fig9_training_throughput fault_tolerance \
-        fig2_convergence fig10_scheduling
+        fig2_convergence fig10_scheduling fig6_design_space table1_pareto
 }
 
 run_perfbench() {

@@ -8,10 +8,13 @@
  * only after the previous step's results pass through the SIMD unit
  * (recurrences, activations) and the array drains.
  *
- * For simulation efficiency each step additionally carries an aggregated
- * TileWork summary; the summary is derived from the instruction list by
- * makeTileWork() and is what the event-driven simulator executes. Tests verify
- * the aggregation against the raw instruction list.
+ * Each step carries an aggregated TileWork summary, which is what the
+ * event-driven simulator executes. The compiler describes a step's MMU
+ * work as GemmGrids (one tiled GEMM each, replicated over gates or
+ * images) and makeTileWork() sums a grid in closed form, without
+ * materialising its tile instructions. The instruction-list overload of
+ * makeTileWork() is the definition the closed form must reproduce bit
+ * for bit; the tests expand grids into instructions and compare.
  */
 
 #ifndef EQUINOX_ISA_PROGRAM_HH
@@ -102,7 +105,46 @@ struct CompiledProgram
 };
 
 /**
- * Aggregate a step's MatMul instructions into a TileWork summary.
+ * A GEMM [rows x k] x [k x cols] tiled onto the MMU, repeated @c copies
+ * times. Each tile instruction spans row_slots x k_slots x col_slots
+ * physical slots; along each axis every tile is full except the last,
+ * which carries the remainder (dim - (tiles - 1) * slots).
+ */
+struct GemmGrid
+{
+    std::uint64_t rows = 0;
+    std::uint64_t k = 0;
+    std::uint64_t cols = 0;
+    std::uint32_t row_slots = 0;
+    std::uint32_t k_slots = 0;
+    std::uint32_t col_slots = 0;
+    /** Identical grids in the step (the gates of a group, images). */
+    std::uint64_t copies = 1;
+
+    /** Tile instructions over all copies. */
+    std::uint64_t tiles() const;
+};
+
+/**
+ * Aggregate a step's GEMM grids into a TileWork summary in closed form.
+ *
+ * Equal, field for field, to the instruction-list overload applied to
+ * the grids' tile instructions: the tile count and ALU slots are
+ * products of per-axis tile counts, the valid slots of a grid factor
+ * into (sum of valid rows) x (sum of valid k) x (sum of valid cols) =
+ * rows * k * cols per copy, and rows_used / rows_slots are maxima.
+ *
+ * @param grids the step's GEMMs
+ * @param macs_per_cycle the array's MAC throughput (m * n^2 * w)
+ * @param stream_bytes DRAM bytes that must be staged for this step
+ */
+TileWork makeTileWork(std::span<const GemmGrid> grids,
+                      std::uint64_t macs_per_cycle,
+                      ByteCount stream_bytes);
+
+/**
+ * Aggregate a list of MatMul instructions into a TileWork summary: the
+ * definition the grid overload is tested against.
  *
  * @param insts the step's MatMul instructions
  * @param macs_per_cycle the array's MAC throughput (m * n^2 * w)

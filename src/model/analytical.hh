@@ -2,6 +2,12 @@
  * @file
  * First-order area / power / performance models of section 4.1
  * (Equations 1-3), evaluated per design point.
+ *
+ * The formulas live once, in AnalyticalModel::Cell, which fixes the
+ * array batch dimension n and the frequency f and hoists every term that
+ * depends only on them. The design-space sweep walks w over one Cell per
+ * (n, f) grid cell; the per-design methods of AnalyticalModel build a
+ * Cell and evaluate through it, so both give the same bits.
  */
 
 #ifndef EQUINOX_MODEL_ANALYTICAL_HH
@@ -37,7 +43,54 @@ struct DesignPoint
 class AnalyticalModel
 {
   public:
+    /**
+     * Equations 1-3 at fixed (n, f). The constructor computes the
+     * (n, f)-invariant terms (area budget, power headroom, energy scale,
+     * budget cycles) and copies the ALU/SRAM constants; each method then
+     * evaluates its equation for one (m, w) with the same IEEE
+     * operations, in the same order, as the equation written out.
+     */
+    class Cell
+    {
+      public:
+        Cell(const AnalyticalModel &model, unsigned n, double f);
+
+        /** Eq. 1 at (m, w); independent of f. */
+        double area(unsigned m, unsigned w) const;
+        /** Eq. 2 at (m, w). */
+        double power(unsigned m, unsigned w) const;
+        /** Eq. 3 at (m, w). */
+        double throughput(unsigned m, unsigned w) const;
+        /** Largest m under both envelopes at w; 0 when m = 1 misses. */
+        unsigned maxM(unsigned w) const;
+
+      private:
+        double n_;
+        /** n * n. */
+        double nn_;
+        double f_;
+        /** f times the energy scale at f. */
+        double f_scale_;
+        double bpv_;
+        double a_alu_;
+        double e_alu_;
+        double e_sram_byte_;
+        double sram_area_;
+        double a_dram_;
+        double p_dram_;
+        double sram_static_;
+        /** Die area left for ALUs (Eq. 1 with m n^2 w = 0). */
+        double area_budget_;
+        /** Power left for dynamic energy (Eq. 2 at zero activity). */
+        double p_avail_;
+        /** p_avail_ in energy per cycle at f. */
+        double budget_cycles_;
+    };
+
     AnalyticalModel(TechParams tech_params, arith::Encoding enc);
+
+    /** The evaluator of the (n, f) grid cell. */
+    Cell cell(unsigned n, double f) const { return Cell(*this, n, f); }
 
     /** Eq. 1: A = m n^2 w a_alu + A_sram + A_dram [mm^2]. */
     double area(unsigned n, unsigned m, unsigned w) const;

@@ -35,14 +35,13 @@ defaultFrequencies()
             MHz(1200), MHz(1600), MHz(2000), MHz(2400)};
 }
 
-/** LSTM batch-of-n service time on this design (the Table 1 metric). */
+/** Batch-of-n service time of @p probe on this design (Table 1). */
 double
-lstmServiceTime(const DesignPoint &p)
+probeServiceTime(const DesignPoint &p, const workload::DnnModel &probe)
 {
     sim::AcceleratorConfig cfg = toAcceleratorConfig(p, "dse-probe");
     workload::Compiler compiler(cfg);
-    auto svc = compiler.compileInference(workload::DnnModel::lstm2048());
-    return svc.service_time_s;
+    return compiler.compileInference(probe).service_time_s;
 }
 
 } // namespace
@@ -66,17 +65,19 @@ namespace
 /**
  * Evaluate one (n, f) grid cell: for each candidate w, take the
  * largest feasible m; keep the throughput-maximal (then power-minimal)
- * design. Returns nullopt when nothing fits the envelopes.
+ * design, and time @p probe on it. Returns nullopt when nothing fits
+ * the envelopes.
  */
 std::optional<DesignPoint>
 bestDesignAt(const AnalyticalModel &eq, arith::Encoding enc, unsigned n,
-             double f, unsigned max_w)
+             double f, unsigned max_w, const workload::DnnModel &probe)
 {
+    const AnalyticalModel::Cell cell = eq.cell(n, f);
     DesignPoint best;
     double best_t = -1.0;
     double best_p = std::numeric_limits<double>::infinity();
     for (unsigned w = 1; w <= max_w; ++w) {
-        unsigned m = eq.maxM(n, w, f);
+        unsigned m = cell.maxM(w);
         if (m == 0) {
             // Power/area already exceeded by the wn SRAM term or
             // the per-m cost; larger w only makes it worse.
@@ -84,8 +85,8 @@ bestDesignAt(const AnalyticalModel &eq, arith::Encoding enc, unsigned n,
                 break;
             continue;
         }
-        double t = eq.throughput(n, m, w, f);
-        double p = eq.power(n, m, w, f);
+        double t = cell.throughput(m, w);
+        double p = cell.power(m, w);
         if (t > best_t * (1.0 + 1e-9) ||
             (std::abs(t - best_t) <= best_t * 1e-9 && p < best_p)) {
             best_t = t;
@@ -97,12 +98,12 @@ bestDesignAt(const AnalyticalModel &eq, arith::Encoding enc, unsigned n,
             best.encoding = enc;
             best.throughput_ops = t;
             best.power_w = p;
-            best.area_mm2 = eq.area(n, m, w);
+            best.area_mm2 = cell.area(m, w);
         }
     }
     if (best_t <= 0.0)
         return std::nullopt;
-    best.service_time_s = lstmServiceTime(best);
+    best.service_time_s = probeServiceTime(best, probe);
     return best;
 }
 
@@ -113,13 +114,14 @@ exploreDesignSpace(const TechParams &tech, arith::Encoding enc,
                    const DseConfig &cfg)
 {
     const AnalyticalModel eq(tech, enc);
+    const workload::DnnModel probe = workload::DnnModel::lstm2048();
     std::vector<unsigned> ns =
         cfg.n_values.empty() ? defaultNs() : cfg.n_values;
     std::vector<double> fs =
         cfg.frequencies.empty() ? defaultFrequencies() : cfg.frequencies;
 
     // Fan the grid cells out; every cell is independent (the analytic
-    // model is consulted read-only, the LSTM probe compiles its own
+    // model and the probe are read-only, each cell compiles with its own
     // Compiler) and cells land in a slot vector by grid index, so the
     // point order — and therefore every downstream frontier/preset
     // selection — is byte-identical to the serial double loop.
@@ -127,7 +129,7 @@ exploreDesignSpace(const TechParams &tech, arith::Encoding enc,
     parallelFor(cfg.jobs, cells.size(), [&](std::size_t idx) {
         unsigned n = ns[idx / fs.size()];
         double f = fs[idx % fs.size()];
-        cells[idx] = bestDesignAt(eq, enc, n, f, cfg.max_w);
+        cells[idx] = bestDesignAt(eq, enc, n, f, cfg.max_w, probe);
     });
 
     DseResult result;

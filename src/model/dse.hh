@@ -4,6 +4,11 @@
  * and the design frequency, maximise (m, w) under the area/power
  * envelopes, estimate each design's LSTM service time, and extract the
  * Pareto-optimal latency/throughput frontier (Figure 6 / Table 1).
+ *
+ * Each (n, f) grid cell builds one AnalyticalModel::Cell and walks w
+ * over it, so the cell's constants are computed once rather than per w;
+ * the LSTM-2048 probe model is built once per sweep and compiled once
+ * per cell, on the cell's best design.
  */
 
 #ifndef EQUINOX_MODEL_DSE_HH

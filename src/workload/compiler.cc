@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -14,11 +16,19 @@ namespace workload
 namespace
 {
 
-/** ceil(a / b) for positive integers. */
-std::size_t
-ceilDiv(std::size_t a, std::size_t b)
+/**
+ * Append @p blocks to @p prog @p times times: an RNN time step is the
+ * same sequence of gate-group blocks at every step (the GEMM shapes
+ * depend only on the batch and hidden size).
+ */
+void
+appendPerTimeStep(isa::CompiledProgram &prog,
+                  const std::vector<isa::StepBlock> &blocks,
+                  std::size_t times)
 {
-    return (a + b - 1) / b;
+    prog.steps.reserve(prog.steps.size() + blocks.size() * times);
+    for (std::size_t t = 0; t < times; ++t)
+        prog.steps.insert(prog.steps.end(), blocks.begin(), blocks.end());
 }
 
 } // namespace
@@ -35,78 +45,37 @@ Compiler::simdCycles(double elems) const
         std::ceil(elems / static_cast<double>(cfg.simd_lanes)));
 }
 
-std::vector<isa::Instruction>
-Compiler::emitGemmMode1(std::size_t rows, std::size_t k,
-                        std::size_t n_cols) const
+isa::GemmGrid
+Compiler::gridMode1(std::size_t rows, std::size_t k, std::size_t n_cols,
+                    std::size_t copies) const
 {
     EQX_ASSERT(rows > 0 && k > 0 && n_cols > 0, "degenerate GEMM");
-    const std::size_t tile_k = cfg.tileK();
-    const std::size_t tile_c = cfg.tileCols();
-    const std::size_t row_slots = cfg.n;
-
-    std::vector<isa::Instruction> insts;
-    insts.reserve(ceilDiv(rows, row_slots) * ceilDiv(k, tile_k) *
-                  ceilDiv(n_cols, tile_c));
-    for (std::size_t r = 0; r < rows; r += row_slots) {
-        auto rr = static_cast<std::uint32_t>(
-            std::min(row_slots, rows - r));
-        for (std::size_t kk = 0; kk < k; kk += tile_k) {
-            auto kv = static_cast<std::uint32_t>(
-                std::min(tile_k, k - kk));
-            for (std::size_t cc = 0; cc < n_cols; cc += tile_c) {
-                auto cv = static_cast<std::uint32_t>(
-                    std::min(tile_c, n_cols - cc));
-                isa::Instruction inst;
-                inst.op = isa::Opcode::MatMul;
-                inst.rows_real = rr;
-                inst.rows_dummy = 0;
-                inst.rows_slots = static_cast<std::uint32_t>(row_slots);
-                inst.k_valid = kv;
-                inst.k_slots = static_cast<std::uint32_t>(tile_k);
-                inst.cols_valid = cv;
-                inst.cols_slots = static_cast<std::uint32_t>(tile_c);
-                insts.push_back(inst);
-            }
-        }
-    }
-    return insts;
+    return {.rows = rows, .k = k, .cols = n_cols, .row_slots = cfg.n,
+            .k_slots = cfg.tileK(), .col_slots = cfg.tileCols(),
+            .copies = copies};
 }
 
-std::vector<isa::Instruction>
-Compiler::emitGemmMode2(std::size_t rows, std::size_t k,
-                        std::size_t n_cols) const
+isa::GemmGrid
+Compiler::gridMode2(std::size_t rows, std::size_t k, std::size_t n_cols,
+                    std::size_t copies) const
 {
     EQX_ASSERT(rows > 0 && k > 0 && n_cols > 0, "degenerate GEMM");
-    const std::size_t tile_k = cfg.tileK();
-    const std::size_t row_slots = cfg.tileRowsMode2();
-    const std::size_t col_slots = cfg.n;
+    return {.rows = rows, .k = k, .cols = n_cols,
+            .row_slots = cfg.tileRowsMode2(), .k_slots = cfg.tileK(),
+            .col_slots = cfg.n, .copies = copies};
+}
 
-    std::vector<isa::Instruction> insts;
-    insts.reserve(ceilDiv(rows, row_slots) * ceilDiv(k, tile_k) *
-                  ceilDiv(n_cols, col_slots));
-    for (std::size_t r = 0; r < rows; r += row_slots) {
-        auto rr = static_cast<std::uint32_t>(
-            std::min(row_slots, rows - r));
-        for (std::size_t kk = 0; kk < k; kk += tile_k) {
-            auto kv = static_cast<std::uint32_t>(
-                std::min(tile_k, k - kk));
-            for (std::size_t cc = 0; cc < n_cols; cc += col_slots) {
-                auto cv = static_cast<std::uint32_t>(
-                    std::min(col_slots, n_cols - cc));
-                isa::Instruction inst;
-                inst.op = isa::Opcode::MatMul;
-                inst.rows_real = rr;
-                inst.rows_dummy = 0;
-                inst.rows_slots = static_cast<std::uint32_t>(row_slots);
-                inst.k_valid = kv;
-                inst.k_slots = static_cast<std::uint32_t>(tile_k);
-                inst.cols_valid = cv;
-                inst.cols_slots = static_cast<std::uint32_t>(col_slots);
-                insts.push_back(inst);
-            }
-        }
-    }
-    return insts;
+isa::StepBlock
+Compiler::stepBlock(const isa::GemmGrid &grid, double stream, double store,
+                    double simd_elems) const
+{
+    isa::StepBlock sb;
+    sb.mmu = isa::makeTileWork(std::span(&grid, 1), cfg.macsPerCycle(),
+                               static_cast<ByteCount>(stream));
+    sb.store_bytes = static_cast<ByteCount>(store);
+    sb.simd_cycles = simdCycles(simd_elems);
+    sb.drain_cycles = cfg.drainCycles();
+    return sb;
 }
 
 // ---------------------------------------------------------------------
@@ -129,7 +98,6 @@ Compiler::compileMlpInference(const DnnModel &model) const
 {
     const auto &mlp = model.mlp;
     EQX_ASSERT(mlp.dims.size() >= 2, "MLP needs at least two dims");
-    const std::uint64_t macs = cfg.macsPerCycle();
     const double bpv = bytesPerValue();
 
     sim::InferenceServiceDesc desc;
@@ -140,14 +108,10 @@ Compiler::compileMlpInference(const DnnModel &model) const
 
     // One dependence step per layer (mode 1: wide vector-matrix).
     for (std::size_t i = 0; i + 1 < mlp.dims.size(); ++i) {
-        auto insts = emitGemmMode1(cfg.n, mlp.dims[i], mlp.dims[i + 1]);
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(insts, macs, 0);
-        sb.simd_cycles = simdCycles(static_cast<double>(cfg.n) *
-                                    static_cast<double>(mlp.dims[i + 1]) *
-                                    mlp.simd_passes);
-        sb.drain_cycles = cfg.drainCycles();
-        desc.program.steps.push_back(sb);
+        desc.program.steps.push_back(stepBlock(
+            gridMode1(cfg.n, mlp.dims[i], mlp.dims[i + 1]), 0.0, 0.0,
+            static_cast<double>(cfg.n) *
+                static_cast<double>(mlp.dims[i + 1]) * mlp.simd_passes));
     }
 
     desc.weight_footprint = static_cast<ByteCount>(
@@ -171,7 +135,6 @@ Compiler::compileRnnInference(const DnnModel &model) const
 {
     const auto &rnn = model.rnn;
     const std::size_t h = rnn.hidden;
-    const std::uint64_t macs = cfg.macsPerCycle();
     const double bpv = bytesPerValue();
     const auto groups = static_cast<double>(rnn.gate_groups.size());
 
@@ -181,34 +144,16 @@ Compiler::compileRnnInference(const DnnModel &model) const
     desc.program.batch_rows = cfg.n;
     desc.program.scale_rows_by_batch = true;
 
-    // Every time step of a given gate group compiles to an identical
-    // step block (the GEMM shapes depend only on (n, h)), so build each
-    // distinct group width once and replicate -- the DSE probe compiles
-    // thousands of these and the per-step re-emission dominated it.
-    std::vector<std::pair<unsigned, isa::StepBlock>> group_blocks;
-    auto groupBlock = [&](unsigned gates) -> const isa::StepBlock & {
-        for (const auto &kv : group_blocks) {
-            if (kv.first == gates)
-                return kv.second;
-        }
-        auto gemm = emitGemmMode1(cfg.n, h, h);
-        std::vector<isa::Instruction> insts;
-        insts.reserve(gemm.size() * gates);
-        for (unsigned g = 0; g < gates; ++g)
-            insts.insert(insts.end(), gemm.begin(), gemm.end());
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(insts, macs, 0);
-        sb.simd_cycles = simdCycles(static_cast<double>(cfg.n) *
-                                    static_cast<double>(h) *
-                                    rnn.simd_passes / groups);
-        sb.drain_cycles = cfg.drainCycles();
-        group_blocks.emplace_back(gates, sb);
-        return group_blocks.back().second;
-    };
-    for (std::size_t t = 0; t < rnn.steps; ++t) {
-        for (unsigned gates : rnn.gate_groups)
-            desc.program.steps.push_back(groupBlock(gates));
+    // One dependence step per gate group: the group's gates are
+    // independent GEMMs [n x h] x [h x h] that pipeline back to back.
+    std::vector<isa::StepBlock> step_blocks;
+    for (unsigned gates : rnn.gate_groups) {
+        step_blocks.push_back(stepBlock(
+            gridMode1(cfg.n, h, h, gates), 0.0, 0.0,
+            static_cast<double>(cfg.n) * static_cast<double>(h) *
+                rnn.simd_passes / groups));
     }
+    appendPerTimeStep(desc.program, step_blocks, rnn.steps);
 
     desc.weight_footprint = static_cast<ByteCount>(
         static_cast<double>(model.paramCount()) * bpv);
@@ -227,7 +172,6 @@ sim::InferenceServiceDesc
 Compiler::compileCnnInference(const DnnModel &model) const
 {
     const auto &cnn = model.cnn;
-    const std::uint64_t macs = cfg.macsPerCycle();
     const double bpv = bytesPerValue();
     const std::size_t images = cnn.batch_images;
 
@@ -241,31 +185,17 @@ Compiler::compileCnnInference(const DnnModel &model) const
         // The im2col unit lowers one image at a time, so output rows do
         // not batch across images; deep layers with few output pixels
         // under-fill the tall mode-2 row dimension (the Table 2 effect).
-        auto per_image = emitGemmMode2(layer.rowsPerImage(),
-                                       layer.gemmK(), layer.c_out);
-        std::vector<isa::Instruction> insts;
-        insts.reserve(per_image.size() * images);
-        for (std::size_t i = 0; i < images; ++i)
-            insts.insert(insts.end(), per_image.begin(), per_image.end());
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(insts, macs, 0);
-        sb.simd_cycles = simdCycles(
+        desc.program.steps.push_back(stepBlock(
+            gridMode2(layer.rowsPerImage(), layer.gemmK(), layer.c_out,
+                      images),
+            0.0, 0.0,
             static_cast<double>(layer.rowsPerImage() * images) *
-            static_cast<double>(layer.c_out) * cnn.simd_passes);
-        sb.drain_cycles = cfg.drainCycles();
-        desc.program.steps.push_back(sb);
+                static_cast<double>(layer.c_out) * cnn.simd_passes));
     }
-    {
-        // Classifier GEMM (mode 1: small batch of pooled features).
-        auto insts = emitGemmMode1(images, cnn.classifier_in,
-                                   cnn.classifier_out);
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(insts, macs, 0);
-        sb.simd_cycles = simdCycles(static_cast<double>(
-            images * cnn.classifier_out));
-        sb.drain_cycles = cfg.drainCycles();
-        desc.program.steps.push_back(sb);
-    }
+    // Classifier GEMM (mode 1: small batch of pooled features).
+    desc.program.steps.push_back(stepBlock(
+        gridMode1(images, cnn.classifier_in, cnn.classifier_out), 0.0,
+        0.0, static_cast<double>(images * cnn.classifier_out)));
 
     desc.weight_footprint = static_cast<ByteCount>(
         static_cast<double>(model.paramCount()) * bpv);
@@ -307,7 +237,6 @@ Compiler::compileMlpTraining(const DnnModel &model, std::size_t batch,
 {
     const auto &mlp = model.mlp;
     EQX_ASSERT(mlp.dims.size() >= 2, "MLP needs at least two dims");
-    const std::uint64_t macs = cfg.macsPerCycle();
     const double bpv = bytesPerValue();
     const double gbv = topts.delta_bytes;
     const double acc = topts.grad_acc_bytes;
@@ -319,22 +248,17 @@ Compiler::compileMlpTraining(const DnnModel &model, std::size_t batch,
     desc.iteration.batch_rows = static_cast<std::uint32_t>(batch);
     desc.iteration.scale_rows_by_batch = false;
 
-    auto add_step = [&](std::vector<isa::Instruction> insts,
-                        double stream, double store, double simd_elems) {
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(insts, macs,
-                                   static_cast<ByteCount>(stream));
-        sb.store_bytes = static_cast<ByteCount>(store);
-        sb.simd_cycles = simdCycles(simd_elems);
-        sb.drain_cycles = cfg.drainCycles();
-        desc.iteration.steps.push_back(sb);
+    auto add_step = [&](const isa::GemmGrid &grid, double stream,
+                        double store, double simd_elems) {
+        desc.iteration.steps.push_back(
+            stepBlock(grid, stream, store, simd_elems));
     };
 
     // Forward.
     for (std::size_t i = 0; i + 1 < mlp.dims.size(); ++i) {
         double din = static_cast<double>(mlp.dims[i]);
         double dout = static_cast<double>(mlp.dims[i + 1]);
-        add_step(emitGemmMode1(batch, mlp.dims[i], mlp.dims[i + 1]),
+        add_step(gridMode1(batch, mlp.dims[i], mlp.dims[i + 1]),
                  din * dout * bpv + b * din * bpv, b * dout * bpv,
                  b * dout * mlp.simd_passes);
     }
@@ -342,7 +266,7 @@ Compiler::compileMlpTraining(const DnnModel &model, std::size_t batch,
     for (std::size_t i = mlp.dims.size() - 1; i >= 2; --i) {
         double din = static_cast<double>(mlp.dims[i - 1]);
         double dout = static_cast<double>(mlp.dims[i]);
-        add_step(emitGemmMode1(batch, mlp.dims[i], mlp.dims[i - 1]),
+        add_step(gridMode1(batch, mlp.dims[i], mlp.dims[i - 1]),
                  din * dout * bpv + b * dout * gbv, b * din * gbv,
                  b * din * 2.0);
     }
@@ -350,7 +274,7 @@ Compiler::compileMlpTraining(const DnnModel &model, std::size_t batch,
     for (std::size_t i = 0; i + 1 < mlp.dims.size(); ++i) {
         double din = static_cast<double>(mlp.dims[i]);
         double dout = static_cast<double>(mlp.dims[i + 1]);
-        add_step(emitGemmMode2(mlp.dims[i], batch, mlp.dims[i + 1]),
+        add_step(gridMode2(mlp.dims[i], batch, mlp.dims[i + 1]),
                  b * din * bpv + b * dout * gbv + din * dout * acc,
                  din * dout * acc, 0.0);
     }
@@ -370,7 +294,6 @@ Compiler::compileRnnTraining(const DnnModel &model, std::size_t batch,
 {
     const auto &rnn = model.rnn;
     const std::size_t h = rnn.hidden;
-    const std::uint64_t macs = cfg.macsPerCycle();
     const double bpv = bytesPerValue();
     const double gbv = topts.delta_bytes;
     const auto groups = static_cast<double>(rnn.gate_groups.size());
@@ -387,79 +310,33 @@ Compiler::compileRnnTraining(const DnnModel &model, std::size_t batch,
     desc.iteration.batch_rows = static_cast<std::uint32_t>(batch);
     desc.iteration.scale_rows_by_batch = false;
 
-    auto add_step = [&](std::vector<isa::Instruction> insts,
-                        double stream, double store, double simd_elems) {
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(insts, macs,
-                                   static_cast<ByteCount>(stream));
-        sb.store_bytes = static_cast<ByteCount>(store);
-        sb.simd_cycles = simdCycles(simd_elems);
-        sb.drain_cycles = cfg.drainCycles();
-        desc.iteration.steps.push_back(sb);
-    };
-
-    // The per-time-step blocks of each pass are identical for a given
-    // gate-group width (GEMM shapes depend only on (batch, h)), so emit
-    // each distinct group once per pass and replicate across steps --
-    // exactly the same program, a fraction of the compile cost.
-    auto gateGroupInsts = [&](unsigned gates) {
-        auto gemm = emitGemmMode1(batch, h, h);
-        std::vector<isa::Instruction> insts;
-        insts.reserve(gemm.size() * gates);
-        for (unsigned g = 0; g < gates; ++g)
-            insts.insert(insts.end(), gemm.begin(), gemm.end());
-        return insts;
-    };
-    auto replicateSteps = [&](auto &&stepForGates) {
-        std::vector<std::pair<unsigned, isa::StepBlock>> cache;
-        for (std::size_t t = 0; t < rnn.steps; ++t) {
-            for (unsigned gates : rnn.gate_groups) {
-                const isa::StepBlock *sb = nullptr;
-                for (const auto &kv : cache) {
-                    if (kv.first == gates)
-                        sb = &kv.second;
-                }
-                if (!sb) {
-                    cache.emplace_back(gates, stepForGates(gates));
-                    sb = &cache.back().second;
-                }
-                desc.iteration.steps.push_back(*sb);
-            }
-        }
-    };
-
     // Forward pass: operands stream from DRAM through the staging
     // buffers (the weight buffer belongs to the inference context), and
     // activations/state for the backward pass stream back out.
-    replicateSteps([&](unsigned gates) {
+    std::vector<isa::StepBlock> step_blocks;
+    for (unsigned gates : rnn.gate_groups) {
         double stream = gates * hh * bpv + 2.0 * bh * bpv / groups;
         double store = (static_cast<double>(total_gates) + 2.0) * bh *
                        bpv / groups;
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(gateGroupInsts(gates), macs,
-                                   static_cast<ByteCount>(stream));
-        sb.store_bytes = static_cast<ByteCount>(store);
-        sb.simd_cycles = simdCycles(bh * rnn.simd_passes / groups);
-        sb.drain_cycles = cfg.drainCycles();
-        return sb;
-    });
+        step_blocks.push_back(stepBlock(gridMode1(batch, h, h, gates),
+                                        stream, store,
+                                        bh * rnn.simd_passes / groups));
+    }
+    appendPerTimeStep(desc.iteration, step_blocks, rnn.steps);
 
     // Data-gradient pass (reverse time order; same GEMM shapes against
     // transposed weights, which stream again).
-    replicateSteps([&](unsigned gates) {
+    step_blocks.clear();
+    for (unsigned gates : rnn.gate_groups) {
         double stream = gates * hh * bpv +
                         (static_cast<double>(total_gates) + 2.0) * bh *
                             bpv / groups;
         double store = gates * bh * gbv;
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(gateGroupInsts(gates), macs,
-                                   static_cast<ByteCount>(stream));
-        sb.store_bytes = static_cast<ByteCount>(store);
-        sb.simd_cycles =
-            simdCycles(bh * (rnn.simd_passes + 2.0) / groups);
-        sb.drain_cycles = cfg.drainCycles();
-        return sb;
-    });
+        step_blocks.push_back(stepBlock(
+            gridMode1(batch, h, h, gates), stream, store,
+            bh * (rnn.simd_passes + 2.0) / groups));
+    }
+    appendPerTimeStep(desc.iteration, step_blocks, rnn.steps);
 
     // Weight-gradient pass: dW_g = X^T . delta_g, a tall mode-2 product.
     // Consecutive time steps concatenate along the inner dimension
@@ -469,17 +346,14 @@ Compiler::compileRnnTraining(const DnnModel &model, std::size_t batch,
     const double acc_bytes = topts.grad_acc_bytes;
     for (std::size_t t0 = 0; t0 < rnn.steps; t0 += grad_window) {
         std::size_t window = std::min(grad_window, rnn.steps - t0);
-        std::vector<isa::Instruction> insts;
-        for (unsigned g = 0; g < total_gates; ++g) {
-            auto gemm = emitGemmMode2(h, batch * window, h);
-            insts.insert(insts.end(), gemm.begin(), gemm.end());
-        }
         double win = static_cast<double>(window);
         double stream = win * bh * bpv +
                         static_cast<double>(total_gates) * win * bh * gbv +
                         static_cast<double>(total_gates) * hh * acc_bytes;
         double store = static_cast<double>(total_gates) * hh * acc_bytes;
-        add_step(std::move(insts), stream, store, 0.0);
+        desc.iteration.steps.push_back(stepBlock(
+            gridMode2(h, batch * window, h, total_gates), stream, store,
+            0.0));
     }
 
     desc.sync_bytes_per_iteration = static_cast<ByteCount>(
@@ -496,7 +370,6 @@ Compiler::compileCnnTraining(const DnnModel &model, std::size_t batch,
                              const TrainingCompileOptions &topts) const
 {
     const auto &cnn = model.cnn;
-    const std::uint64_t macs = cfg.macsPerCycle();
     const double bpv = bytesPerValue();
     const double gbv = topts.delta_bytes;
 
@@ -506,15 +379,10 @@ Compiler::compileCnnTraining(const DnnModel &model, std::size_t batch,
     desc.iteration.batch_rows = static_cast<std::uint32_t>(batch);
     desc.iteration.scale_rows_by_batch = false;
 
-    auto add_step = [&](std::vector<isa::Instruction> insts,
-                        double stream, double store, double simd_elems) {
-        isa::StepBlock sb;
-        sb.mmu = isa::makeTileWork(insts, macs,
-                                   static_cast<ByteCount>(stream));
-        sb.store_bytes = static_cast<ByteCount>(store);
-        sb.simd_cycles = simdCycles(simd_elems);
-        sb.drain_cycles = cfg.drainCycles();
-        desc.iteration.steps.push_back(sb);
+    auto add_step = [&](const isa::GemmGrid &grid, double stream,
+                        double store, double simd_elems) {
+        desc.iteration.steps.push_back(
+            stepBlock(grid, stream, store, simd_elems));
     };
 
     auto layer_bytes = [&](const ConvLayerSpec &l) {
@@ -530,40 +398,30 @@ Compiler::compileCnnTraining(const DnnModel &model, std::size_t batch,
         return std::tuple{acts_in, acts_out, weights};
     };
 
-    // Per-image GEMM emission (the im2col unit lowers one image at a
-    // time; see compileCnnInference).
-    auto emit_per_image = [&](std::size_t rows, std::size_t k,
-                              std::size_t n_cols) {
-        auto per_image = emitGemmMode2(rows, k, n_cols);
-        std::vector<isa::Instruction> insts;
-        insts.reserve(per_image.size() * batch);
-        for (std::size_t i = 0; i < batch; ++i)
-            insts.insert(insts.end(), per_image.begin(), per_image.end());
-        return insts;
-    };
+    // The im2col unit lowers one image at a time (see
+    // compileCnnInference), so forward and data-gradient GEMMs repeat
+    // per image.
 
     // Forward pass.
     for (const auto &l : cnn.layers) {
         auto [acts_in, acts_out, weights] = layer_bytes(l);
-        auto insts = emit_per_image(l.rowsPerImage(), l.gemmK(), l.c_out);
-        add_step(std::move(insts), weights * bpv + acts_in * bpv,
-                 acts_out * bpv, acts_out * cnn.simd_passes);
+        add_step(gridMode2(l.rowsPerImage(), l.gemmK(), l.c_out, batch),
+                 weights * bpv + acts_in * bpv, acts_out * bpv,
+                 acts_out * cnn.simd_passes);
     }
     // Data-gradient pass (reverse).
     for (auto it = cnn.layers.rbegin(); it != cnn.layers.rend(); ++it) {
         const auto &l = *it;
         auto [acts_in, acts_out, weights] = layer_bytes(l);
-        auto insts = emit_per_image(l.rowsPerImage(), l.c_out, l.gemmK());
-        add_step(std::move(insts), weights * bpv + acts_out * gbv,
+        add_step(gridMode2(l.rowsPerImage(), l.c_out, l.gemmK(), batch),
+                 weights * bpv + acts_out * gbv,
                  acts_in * gbv, acts_in * 2.0);
     }
     // Weight-gradient pass (wide gradient accumulators in DRAM).
     const double acc_bytes = topts.grad_acc_bytes;
     for (const auto &l : cnn.layers) {
         auto [acts_in, acts_out, weights] = layer_bytes(l);
-        auto insts = emitGemmMode2(l.gemmK(), l.rowsPerImage() * batch,
-                                   l.c_out);
-        add_step(std::move(insts),
+        add_step(gridMode2(l.gemmK(), l.rowsPerImage() * batch, l.c_out),
                  acts_in * bpv + acts_out * gbv + weights * acc_bytes,
                  weights * acc_bytes, 0.0);
     }

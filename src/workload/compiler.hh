@@ -6,18 +6,18 @@
  * Two MMU mapping modes follow section 4: mode 1 (activations broadcast,
  * weights unicast) for the wide vector-matrix products of RNNs/MLPs, and
  * mode 2 (weights broadcast, activations unicast) for tall lowered
- * convolutions. Training iterations are compiled as forward, then
- * data-gradient, then weight-gradient passes whose operands stream
- * through the staging buffers from DRAM (section 2.2); weight-gradient
- * accumulation is read-modify-written in the SIMD unit's bfloat16.
+ * convolutions. Each dependence step's GEMMs are described as tile grids
+ * (isa::GemmGrid) whose TileWork is summed in closed form; no tile
+ * instruction is materialised. Training iterations are compiled as
+ * forward, then data-gradient, then weight-gradient passes whose operands
+ * stream through the staging buffers from DRAM (section 2.2);
+ * weight-gradient accumulation is read-modify-written in the SIMD unit's
+ * bfloat16.
  */
 
 #ifndef EQUINOX_WORKLOAD_COMPILER_HH
 #define EQUINOX_WORKLOAD_COMPILER_HH
 
-#include <vector>
-
-#include "isa/instruction.hh"
 #include "isa/program.hh"
 #include "sim/accelerator.hh"
 #include "sim/config.hh"
@@ -66,20 +66,21 @@ class Compiler
     // -- building blocks, exposed for tests ---------------------------
 
     /**
-     * Mode-1 GEMM [rows x K] x [K x N]: activations broadcast to all m
-     * arrays; rows <= n per instruction; output columns chunked by m*n.
+     * Mode-1 GEMM [rows x K] x [K x N], @p copies times: activations
+     * broadcast to all m arrays; rows chunked by n, K by n*w, output
+     * columns by m*n.
      */
-    std::vector<isa::Instruction> emitGemmMode1(std::size_t rows,
-                                                std::size_t k,
-                                                std::size_t n_cols) const;
+    isa::GemmGrid gridMode1(std::size_t rows, std::size_t k,
+                            std::size_t n_cols,
+                            std::size_t copies = 1) const;
 
     /**
-     * Mode-2 GEMM [rows x K] x [K x N]: weights broadcast; rows chunked
-     * by m*n, output columns chunked by n.
+     * Mode-2 GEMM [rows x K] x [K x N], @p copies times: weights
+     * broadcast; rows chunked by m*n, K by n*w, output columns by n.
      */
-    std::vector<isa::Instruction> emitGemmMode2(std::size_t rows,
-                                                std::size_t k,
-                                                std::size_t n_cols) const;
+    isa::GemmGrid gridMode2(std::size_t rows, std::size_t k,
+                            std::size_t n_cols,
+                            std::size_t copies = 1) const;
 
     /** SIMD cycles to stream @p elems elementwise operands. */
     Tick simdCycles(double elems) const;
@@ -90,6 +91,14 @@ class Compiler
     const sim::AcceleratorConfig &config() const { return cfg; }
 
   private:
+    /**
+     * One dependence step: @p grid's MMU work, then SIMD over
+     * @p simd_elems operands and the array drain; @p stream and
+     * @p store are its DRAM bytes in and out.
+     */
+    isa::StepBlock stepBlock(const isa::GemmGrid &grid, double stream,
+                             double store, double simd_elems) const;
+
     sim::InferenceServiceDesc compileRnnInference(const DnnModel &m) const;
     sim::InferenceServiceDesc compileCnnInference(const DnnModel &m) const;
     sim::InferenceServiceDesc compileMlpInference(const DnnModel &m) const;

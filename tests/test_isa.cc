@@ -1,13 +1,20 @@
 /**
  * @file
  * Unit tests for the ISA: opcode classification, instruction geometry
- * arithmetic, and TileWork aggregation.
+ * arithmetic, and TileWork aggregation (instruction lists and tile
+ * grids).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "isa/instruction.hh"
 #include "isa/program.hh"
+#include "tile_grid_reference.hh"
 
 namespace equinox
 {
@@ -104,6 +111,115 @@ TEST(TileWork, OccupancyRoundsUp)
     std::vector<Instruction> insts{makeMatMul(4, 0, 4, 8, 8, 8, 8)};
     auto tw = makeTileWork(insts, 63, 0);
     EXPECT_EQ(tw.occupancy, (4u * 8 * 8 + 62) / 63);
+}
+
+/** Field-for-field equality, geom_frac compared as bits. */
+void
+expectSameTileWork(const TileWork &grid, const TileWork &ref,
+                   const std::string &where)
+{
+    EXPECT_EQ(grid.instructions, ref.instructions) << where;
+    EXPECT_EQ(grid.occupancy, ref.occupancy) << where;
+    EXPECT_EQ(grid.rows_used, ref.rows_used) << where;
+    EXPECT_EQ(grid.rows_slots, ref.rows_slots) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(grid.geom_frac),
+              std::bit_cast<std::uint64_t>(ref.geom_frac))
+        << where;
+    EXPECT_EQ(grid.real_ops, ref.real_ops) << where;
+    EXPECT_EQ(grid.stream_bytes, ref.stream_bytes) << where;
+}
+
+TEST(TileWork, GridOfOneTileMatchesInstruction)
+{
+    const GemmGrid g{.rows = 4, .k = 4, .cols = 8, .row_slots = 4,
+                     .k_slots = 8, .col_slots = 8};
+    auto tw = makeTileWork(std::span(&g, 1), 64, 7);
+    EXPECT_EQ(g.tiles(), 1u);
+    EXPECT_DOUBLE_EQ(tw.geom_frac, 0.5);
+    expectSameTileWork(
+        tw, makeTileWork(std::vector{makeMatMul(4, 0, 4, 4, 8, 8, 8)}, 64, 7),
+        "one tile");
+    // No grids: the empty instruction list's summary.
+    expectSameTileWork(makeTileWork(std::span<const GemmGrid>(), 64, 0),
+                       makeTileWork(std::span<const Instruction>(), 64, 0),
+                       "empty");
+}
+
+/**
+ * Seeded fuzz: the closed-form grid TileWork equals the instruction-list
+ * reference over every grid expanded into its tiles. Arrays are the
+ * Table 1 designs plus random small ones; each step has 1-3 grids in
+ * mode 1 or mode 2 slot geometry, each axis an exact multiple of its
+ * slots or ragged, 1-8 copies.
+ */
+TEST(TileWorkProperty, GridFormMatchesInstructionList)
+{
+    struct Array
+    {
+        std::uint32_t n, m, w;
+    };
+    // (n, m, w) of the hbfp8 and bfloat16 Table 1 designs.
+    const Array table1[] = {{1, 229, 207}, {14, 39, 37}, {143, 4, 4},
+                            {191, 3, 3},   {1, 166, 135}, {37, 8, 6},
+                            {185, 2, 1}};
+    std::mt19937_64 rng(20211018);
+    auto below = [&](std::uint64_t bound) { return rng() % bound; };
+    // One axis of @p slots: 1-4 tiles, the last full or ragged.
+    int ragged_axes = 0, exact_axes = 0;
+    auto axis = [&](std::uint32_t slots) -> std::uint64_t {
+        std::uint64_t full = below(4);
+        if (slots > 1 && below(2)) {
+            ++ragged_axes;
+            return full * slots + 1 + below(slots - 1);
+        }
+        ++exact_axes;
+        return (full + 1) * slots;
+    };
+
+    int multi_grid = 0, mode2 = 0, max_copies = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        Array a;
+        if (trial % 2 == 0) {
+            a = table1[below(std::size(table1))];
+        } else {
+            a = {static_cast<std::uint32_t>(1 + below(40)),
+                 static_cast<std::uint32_t>(1 + below(8)),
+                 static_cast<std::uint32_t>(1 + below(8))};
+        }
+        const std::uint64_t macs =
+            static_cast<std::uint64_t>(a.m) * a.n * a.n * a.w;
+        std::vector<GemmGrid> grids(1 + below(3));
+        for (auto &g : grids) {
+            const bool mode1 = below(2) == 0;
+            mode2 += !mode1;
+            g.row_slots = mode1 ? a.n : a.m * a.n;
+            g.k_slots = a.n * a.w;
+            g.col_slots = mode1 ? a.m * a.n : a.n;
+            g.rows = axis(g.row_slots);
+            g.k = axis(g.k_slots);
+            g.cols = axis(g.col_slots);
+            g.copies = 1 + below(8);
+            max_copies = std::max(max_copies, static_cast<int>(g.copies));
+        }
+        multi_grid += grids.size() > 1;
+        const ByteCount stream = below(1 << 20);
+        const auto insts = testref::gridInstructions(grids);
+        std::uint64_t tiles = 0;
+        for (const auto &g : grids)
+            tiles += g.tiles();
+        ASSERT_EQ(tiles, insts.size());
+        expectSameTileWork(makeTileWork(grids, macs, stream),
+                           makeTileWork(insts, macs, stream),
+                           "trial " + std::to_string(trial));
+        if (HasFailure())
+            return;
+    }
+    // The fuzz reached every shape it claims to cover.
+    EXPECT_GT(ragged_axes, 1000);
+    EXPECT_GT(exact_axes, 1000);
+    EXPECT_GT(multi_grid, 1000);
+    EXPECT_GT(mode2, 1000);
+    EXPECT_EQ(max_copies, 8);
 }
 
 TEST(CompiledProgram, Accounting)

@@ -13,6 +13,7 @@
 #include "model/cacti_lite.hh"
 #include "model/dse.hh"
 #include "model/tech_params.hh"
+#include "sim/result_digest.hh"
 
 namespace equinox
 {
@@ -229,6 +230,45 @@ TEST(Dse, ToAcceleratorConfigCopiesGeometry)
     EXPECT_EQ(cfg.w, 37u);
     EXPECT_EQ(cfg.name, "probe");
     EXPECT_DOUBLE_EQ(cfg.frequency_hz, 532e6);
+}
+
+/**
+ * FNV-1a over every DesignPoint field of a full default sweep, as exact
+ * bit patterns in point order. The band tests above only check the
+ * points the presets pick; this pins every point, so a one-ulp change
+ * in a point no preset selects still fails. Recorded from the sweep
+ * that evaluated Equations 1-3 afresh for every w and compiled the
+ * probe's tile instructions one by one.
+ */
+std::uint64_t
+sweepDigest(arith::Encoding enc)
+{
+    auto res = exploreDesignSpace(defaultTechParams(), enc);
+    sim::ResultDigest dg;
+    dg.u64(res.points.size());
+    for (const auto &p : res.points) {
+        dg.u64(p.n);
+        dg.u64(p.m);
+        dg.u64(p.w);
+        dg.d(p.frequency_hz);
+        dg.u64(static_cast<std::uint64_t>(p.encoding));
+        dg.d(p.area_mm2);
+        dg.d(p.power_w);
+        dg.d(p.throughput_ops);
+        dg.d(p.service_time_s);
+        dg.u64(p.pareto ? 1 : 0);
+    }
+    return dg.value();
+}
+
+TEST(DseGolden, Hbfp8SweepIsBitIdentical)
+{
+    EXPECT_EQ(sweepDigest(arith::Encoding::Hbfp8), 0x3267699c4db58b9eull);
+}
+
+TEST(DseGolden, Bfloat16SweepIsBitIdentical)
+{
+    EXPECT_EQ(sweepDigest(arith::Encoding::Bfloat16), 0x5ad0970f2419b607ull);
 }
 
 } // namespace

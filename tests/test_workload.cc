@@ -8,6 +8,8 @@
 #include <cmath>
 
 #include "common/units.hh"
+#include "sim/result_digest.hh"
+#include "tile_grid_reference.hh"
 #include "workload/compiler.hh"
 #include "workload/dnn_model.hh"
 
@@ -65,21 +67,96 @@ TEST(DnnModel, Resnet50Structure)
                 0.7e9);
 }
 
+void
+foldProgram(sim::ResultDigest &dg, const isa::CompiledProgram &prog)
+{
+    dg.u64(prog.steps.size());
+    dg.u64(prog.batch_rows);
+    dg.u64(prog.scale_rows_by_batch ? 1 : 0);
+    for (const auto &sb : prog.steps) {
+        dg.u64(sb.mmu.instructions);
+        dg.u64(sb.mmu.occupancy);
+        dg.u64(sb.mmu.rows_used);
+        dg.u64(sb.mmu.rows_slots);
+        dg.d(sb.mmu.geom_frac);
+        dg.u64(sb.mmu.real_ops);
+        dg.u64(sb.mmu.stream_bytes);
+        dg.u64(sb.simd_cycles);
+        dg.u64(sb.drain_cycles);
+        dg.u64(sb.host_bytes);
+        dg.u64(sb.store_bytes);
+    }
+}
+
+/**
+ * Every StepBlock field of every model's inference and training
+ * program, on a Table-1-like array and on a ragged one, as exact bit
+ * patterns. Recorded from the instruction-list compiler; the tile-grid
+ * compiler must reproduce every bit.
+ */
+TEST(CompilerGolden, ProgramsAreBitIdentical)
+{
+    sim::AcceleratorConfig ragged;
+    ragged.n = 29;
+    ragged.m = 3;
+    ragged.w = 7;
+    ragged.frequency_hz = units::MHz(610);
+    TrainingCompileOptions window3;
+    window3.grad_window = 3;
+
+    sim::ResultDigest dg;
+    for (const auto &cfg : {equinox500Like(), ragged}) {
+        Compiler compiler(cfg);
+        for (const auto &model :
+             {DnnModel::lstm2048(), DnnModel::gru2816(),
+              DnnModel::resnet50(2), DnnModel::mlp4096()}) {
+            auto inf = compiler.compileInference(model);
+            foldProgram(dg, inf.program);
+            dg.u64(inf.weight_footprint);
+            dg.u64(inf.act_footprint);
+            dg.u64(inf.input_bytes_per_request);
+            dg.u64(inf.output_bytes_per_request);
+            dg.d(inf.service_time_s);
+            const bool cnn = model.kind == DnnModel::Kind::Cnn;
+            for (std::size_t batch : {cnn ? 2ul : 128ul, cnn ? 3ul : 100ul}) {
+                for (const auto &opts : {TrainingCompileOptions{}, window3}) {
+                    auto tr = compiler.compileTraining(model, batch, opts);
+                    foldProgram(dg, tr.iteration);
+                    dg.u64(tr.sync_bytes_per_iteration);
+                    dg.u64(tr.checkpoint_bytes);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(dg.value(), 0x8deee4de36c77c63ull);
+}
+
+/** TileWork of one grid on @p compiler's array. */
+isa::TileWork
+gridWork(const Compiler &compiler, const isa::GemmGrid &grid)
+{
+    return isa::makeTileWork(std::span(&grid, 1),
+                             compiler.config().macsPerCycle(), 0);
+}
+
 TEST(Compiler, Mode1GemmInstructionCount)
 {
     Compiler compiler(equinox500Like());
     // [143 x 2048] x [2048 x 2048]: ceil(2048/572)=4 k-chunks,
     // ceil(2048/572)=4 column chunks, one row chunk.
-    auto insts = compiler.emitGemmMode1(143, 2048, 2048);
-    EXPECT_EQ(insts.size(), 16u);
-    // Edge tiles carry the remainders.
-    std::uint64_t macs = 0;
-    for (const auto &inst : insts) {
-        EXPECT_LE(inst.k_valid, inst.k_slots);
-        EXPECT_LE(inst.cols_valid, inst.cols_slots);
-        macs += inst.realMacs();
-    }
-    EXPECT_EQ(macs, 143ull * 2048 * 2048);
+    auto grid = compiler.gridMode1(143, 2048, 2048);
+    EXPECT_EQ(grid.row_slots, 143u);
+    EXPECT_EQ(grid.k_slots, 572u);
+    EXPECT_EQ(grid.col_slots, 572u);
+    EXPECT_EQ(grid.tiles(), 16u);
+    auto tw = gridWork(compiler, grid);
+    EXPECT_EQ(tw.instructions, 16u);
+    EXPECT_EQ(tw.real_ops, 2ull * 143 * 2048 * 2048);
+    // Edge tiles carry the remainders: 3 full k chunks plus 332.
+    auto insts = testref::gridInstructions(std::span(&grid, 1));
+    ASSERT_EQ(insts.size(), 16u);
+    EXPECT_EQ(insts.back().k_valid, 2048u - 3 * 572);
+    EXPECT_EQ(insts.back().cols_valid, 2048u - 3 * 572);
 }
 
 TEST(Compiler, Mode2GemmInstructionCount)
@@ -87,12 +164,12 @@ TEST(Compiler, Mode2GemmInstructionCount)
     Compiler compiler(equinox500Like());
     // [2048 x 256] x [256 x 2048]: rows chunked by m*n=572 -> 4,
     // K=256 in one 572-slot chunk, cols chunked by n=143 -> 15.
-    auto insts = compiler.emitGemmMode2(2048, 256, 2048);
-    EXPECT_EQ(insts.size(), 4u * 1 * 15);
-    std::uint64_t macs = 0;
-    for (const auto &inst : insts)
-        macs += inst.realMacs();
-    EXPECT_EQ(macs, 2048ull * 256 * 2048);
+    auto grid = compiler.gridMode2(2048, 256, 2048);
+    EXPECT_EQ(grid.row_slots, 572u);
+    EXPECT_EQ(grid.col_slots, 143u);
+    EXPECT_EQ(grid.tiles(), 4u * 1 * 15);
+    auto tw = gridWork(compiler, grid);
+    EXPECT_EQ(tw.real_ops, 2ull * 2048 * 256 * 2048);
 }
 
 TEST(Compiler, GemmCoversAllMacsProperty)
@@ -103,20 +180,23 @@ TEST(Compiler, GemmCoversAllMacsProperty)
                                    {1000, 128, 64}};
     for (const auto &d : dims) {
         for (int mode = 1; mode <= 2; ++mode) {
-            auto insts = mode == 1
-                             ? compiler.emitGemmMode1(d[0], d[1], d[2])
-                             : compiler.emitGemmMode2(d[0], d[1], d[2]);
+            auto grid = mode == 1
+                            ? compiler.gridMode1(d[0], d[1], d[2])
+                            : compiler.gridMode2(d[0], d[1], d[2]);
             std::uint64_t macs = 0;
-            for (const auto &inst : insts) {
+            for (const auto &inst :
+                 testref::gridInstructions(std::span(&grid, 1))) {
                 macs += inst.realMacs();
                 EXPECT_GT(inst.k_valid, 0u);
                 EXPECT_GT(inst.cols_valid, 0u);
                 EXPECT_GT(inst.rows_real, 0u);
             }
-            EXPECT_EQ(macs,
-                      static_cast<std::uint64_t>(d[0]) * d[1] * d[2])
+            const auto want =
+                static_cast<std::uint64_t>(d[0]) * d[1] * d[2];
+            EXPECT_EQ(macs, want)
                 << "mode " << mode << " dims " << d[0] << "x" << d[1]
                 << "x" << d[2];
+            EXPECT_EQ(gridWork(compiler, grid).real_ops, 2 * want);
         }
     }
 }
@@ -319,8 +399,7 @@ TEST(CompilerProperty, GeometryFractionBounded)
         std::size_t rows = 1 + rng.uniformInt(0, 99);
         std::size_t k = 1 + rng.uniformInt(0, 999);
         std::size_t cols = 1 + rng.uniformInt(0, 999);
-        auto insts = compiler.emitGemmMode1(rows, k, cols);
-        auto tw = isa::makeTileWork(insts, cfg.macsPerCycle(), 0);
+        auto tw = gridWork(compiler, compiler.gridMode1(rows, k, cols));
         EXPECT_GT(tw.geom_frac, 0.0);
         EXPECT_LE(tw.geom_frac, 1.0 + 1e-12);
         EXPECT_EQ(tw.real_ops, 2ull * rows * k * cols);
